@@ -15,8 +15,6 @@
 //                                   "speedup": ..,
 //                                   "rib_prepare_ms": ..,
 //                                   "vrp_prepare_ms": ..,
-//                                   "covering_cache_hit_rate": ..,
-//                                   "validation_cache_hit_rate": ..,
 //                                   "identical_to_serial": true,
 //                                   "identical_rib": true,
 //                                   "identical_report": true}, ..]},
@@ -120,7 +118,6 @@ namespace {
 struct TimedRun {
   double wall_ms = 0;
   ripki::core::Dataset dataset;
-  ripki::core::MeasurementPipeline::CacheStats cache_stats;
   // The pipeline itself is kept so rungs can compare setup artifacts
   // (RIB, validation report) against the serial baseline.
   std::unique_ptr<ripki::core::MeasurementPipeline> pipeline;
@@ -136,7 +133,6 @@ TimedRun run_once(const ripki::web::Ecosystem& ecosystem,
   out.wall_ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - start)
                     .count();
-  out.cache_stats = out.pipeline->cache_stats();
   return out;
 }
 
@@ -253,8 +249,8 @@ int main(int argc, char** argv) {
   }
 
   // Pass 3: the thread ladder. Every rung gets a fresh registry so its
-  // cache counters are per-run, and its dataset is checked against the
-  // serial one.
+  // metrics are per-run, and its dataset is checked against the serial
+  // one.
   std::vector<std::size_t> ladder{0, 1, 2, max_threads};
   std::sort(ladder.begin(), ladder.end());
   ladder.erase(std::unique(ladder.begin(), ladder.end()), ladder.end());
@@ -265,8 +261,6 @@ int main(int argc, char** argv) {
     double speedup;
     double rib_prepare_ms;
     double vrp_prepare_ms;
-    double covering_rate;
-    double validation_rate;
     bool identical;
     bool identical_rib;
     bool identical_report;
@@ -274,12 +268,10 @@ int main(int argc, char** argv) {
   std::vector<Rung> rungs;
   for (const std::size_t threads : ladder) {
     double wall_ms;
-    core::MeasurementPipeline::CacheStats cache_stats;
     core::MeasurementPipeline::SetupStats setup_stats;
     bool identical, identical_rib, identical_report;
     if (threads == 0) {
       wall_ms = serial.wall_ms;  // reuse pass 1
-      cache_stats = serial.cache_stats;
       setup_stats = serial.pipeline->setup_stats();
       identical = identical_rib = identical_report = true;
     } else {
@@ -290,7 +282,6 @@ int main(int argc, char** argv) {
       rung_config.threads = threads;
       const TimedRun run = run_once(*ecosystem, rung_config);
       wall_ms = run.wall_ms;
-      cache_stats = run.cache_stats;
       setup_stats = run.pipeline->setup_stats();
       identical = run.dataset == serial.dataset;
       identical_rib = run.pipeline->rib() == serial.pipeline->rib() &&
@@ -301,15 +292,11 @@ int main(int argc, char** argv) {
     rungs.push_back({threads, wall_ms,
                      wall_ms > 0 ? serial.wall_ms / wall_ms : 0.0,
                      setup_stats.rib_prepare_ms, setup_stats.vrp_prepare_ms,
-                     cache_stats.covering_hit_rate(),
-                     cache_stats.validation_hit_rate(), identical,
-                     identical_rib, identical_report});
+                     identical, identical_rib, identical_report});
     std::cerr << "threads=" << threads << ": " << wall_ms << " ms ("
               << rungs.back().speedup << "x), rib_prepare "
               << setup_stats.rib_prepare_ms << " ms, vrp_prepare "
-              << setup_stats.vrp_prepare_ms << " ms, covering cache "
-              << rungs.back().covering_rate * 100 << "% hit, validation cache "
-              << rungs.back().validation_rate * 100 << "% hit, identical="
+              << setup_stats.vrp_prepare_ms << " ms, identical="
               << (identical && identical_rib && identical_report ? "yes" : "NO")
               << "\n";
   }
@@ -638,14 +625,11 @@ int main(int argc, char** argv) {
     std::snprintf(buffer, sizeof buffer,
                   "%s{\"threads\":%llu,\"wall_ms\":%.3f,\"speedup\":%.3f,"
                   "\"rib_prepare_ms\":%.3f,\"vrp_prepare_ms\":%.3f,"
-                  "\"covering_cache_hit_rate\":%.4f,"
-                  "\"validation_cache_hit_rate\":%.4f,"
                   "\"identical_to_serial\":%s,\"identical_rib\":%s,"
                   "\"identical_report\":%s}",
                   i == 0 ? "" : ",",
                   static_cast<unsigned long long>(rung.threads), rung.wall_ms,
                   rung.speedup, rung.rib_prepare_ms, rung.vrp_prepare_ms,
-                  rung.covering_rate, rung.validation_rate,
                   rung.identical ? "true" : "false",
                   rung.identical_rib ? "true" : "false",
                   rung.identical_report ? "true" : "false");

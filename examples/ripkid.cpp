@@ -36,11 +36,10 @@
 // records one of every N spans in the trace timeline. --threads N shards
 // the domain sweep across N workers, clamped to the host's hardware
 // concurrency (--threads 0 resolves to exactly that clamp; omitting the
-// flag runs serial); the sweep's effective thread
-// count and hot-path cache hit rates appear on /runz and as
-// `ripki.exec.*` gauges on /metrics. --rate-limit N caps each API client
-// at N requests/second (burst 2N; 0 = unlimited; the budget is shared
-// across reactor shards, so it is invariant under --serve-shards).
+// flag runs serial); the sweep's effective thread count appears on /runz
+// and as `ripki.exec.*` gauges on /metrics. --rate-limit N caps each API
+// client at N requests/second (burst 2N; 0 = unlimited; the budget is
+// shared across reactor shards, so it is invariant under --serve-shards).
 // --serve-shards N runs the query API on N reactor shards — one event
 // loop + thread per shard, SO_REUSEPORT listeners when the kernel
 // supports it (0 = all hardware threads); per-shard fleet telemetry
@@ -468,41 +467,8 @@ int main(int argc, char** argv) {
                                        /*parent_generation=*/run));
 
     {
-      const auto& caches = pipeline.cache_stats();
-      char cache_line[256];
-      std::snprintf(cache_line, sizeof cache_line,
-                    "sweep threads: %zu\n"
-                    "covering cache: %llu hits / %llu misses (%.1f%% hit)\n"
-                    "validation cache: %llu hits / %llu misses (%.1f%% hit)\n",
-                    pipeline_config.threads,
-                    static_cast<unsigned long long>(caches.covering_hits),
-                    static_cast<unsigned long long>(caches.covering_misses),
-                    caches.covering_hit_rate() * 100.0,
-                    static_cast<unsigned long long>(caches.validation_hits),
-                    static_cast<unsigned long long>(caches.validation_misses),
-                    caches.validation_hit_rate() * 100.0);
-      // Per-worker split, so one worker with a cold cache (imbalanced
-      // shard mix) is visible instead of averaged away.
-      std::string worker_lines;
-      if (caches.workers.size() > 1) {
-        for (std::size_t w = 0; w < caches.workers.size(); ++w) {
-          const auto& wk = caches.workers[w];
-          char line[192];
-          std::snprintf(
-              line, sizeof line,
-              "  worker %zu: covering %.1f%% hit (%llu/%llu), "
-              "validation %.1f%% hit (%llu/%llu)\n",
-              w, wk.covering_hit_rate() * 100.0,
-              static_cast<unsigned long long>(wk.covering_hits),
-              static_cast<unsigned long long>(wk.covering_hits +
-                                              wk.covering_misses),
-              wk.validation_hit_rate() * 100.0,
-              static_cast<unsigned long long>(wk.validation_hits),
-              static_cast<unsigned long long>(wk.validation_hits +
-                                              wk.validation_misses));
-          worker_lines += line;
-        }
-      }
+      const std::string threads_line =
+          "sweep threads: " + std::to_string(pipeline_config.threads) + "\n";
       // One-line scheduler summary; /schedz has the full X-ray.
       char sched_line[224];
       {
@@ -554,7 +520,7 @@ int main(int argc, char** argv) {
                     jitter_last_ms, jitter_max_ms);
       std::lock_guard lock(runz_mutex);
       runz = "run " + std::to_string(run + 1) + " (per-run deltas)\n" +
-             cache_line + worker_lines + sched_line + setup_line +
+             threads_line + sched_line + setup_line +
              serving_line + jitter_line +
              "serve_shards: " + api.shards_json() + "\n" +
              obs::stage_report(delta);

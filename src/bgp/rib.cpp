@@ -21,8 +21,13 @@ const std::vector<RibEntry>* Rib::entries_for(const net::Prefix& prefix) const {
 }
 
 std::vector<Rib::CoveringResult> Rib::covering(const net::IpAddress& addr) const {
+  const auto matches =
+      frozen_built_ && !frozen_stale_
+          ? frozen_.path_matches(frozen_.deepest_covering(addr))
+          : trie_.covering(addr);
   std::vector<CoveringResult> out;
-  for (const auto& match : trie_.covering(addr)) {
+  out.reserve(matches.size());
+  for (const auto& match : matches) {
     out.push_back({match.prefix, match.value});
   }
   return out;
@@ -59,25 +64,6 @@ void Rib::refreeze() {
   if (!frozen_built_ || !frozen_stale_) return;
   frozen_ = trie_.freeze();
   frozen_stale_ = false;
-}
-
-std::uint32_t Rib::covering_node(const net::IpAddress& addr) const {
-  assert(frozen_built_ && "covering_node requires freeze()");
-  return frozen_.deepest_covering(addr);
-}
-
-std::size_t Rib::frozen_node_count() const {
-  assert(frozen_built_ && "frozen_node_count requires freeze()");
-  return frozen_.node_count();
-}
-
-std::vector<Rib::CoveringResult> Rib::covering_path(std::uint32_t node) const {
-  assert(frozen_built_ && "covering_path requires freeze()");
-  std::vector<CoveringResult> out;
-  for (const auto& match : frozen_.path_matches(node)) {
-    out.push_back({match.prefix, match.value});
-  }
-  return out;
 }
 
 std::set<net::Asn> Rib::origins_for(const net::Prefix& prefix) const {

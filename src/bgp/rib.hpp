@@ -48,7 +48,9 @@ class Rib {
   const std::vector<RibEntry>* entries_for(const net::Prefix& prefix) const;
 
   /// All (covering prefix, entries) pairs for `addr`, shortest prefix
-  /// first — methodology step 3 extracts *all* covering prefixes.
+  /// first — methodology step 3 extracts *all* covering prefixes. Walks
+  /// the frozen image when it is current and the pointer trie otherwise
+  /// (never frozen, or withdraw/announce since the last (re)freeze).
   struct CoveringResult {
     net::Prefix prefix;
     const std::vector<RibEntry>* entries;
@@ -64,9 +66,8 @@ class Rib {
   // --- Incremental delta application (ripki::delta) ----------------------
   //
   // Unlike add(), these are legal on a frozen table: they mark the frozen
-  // image stale and refreeze() rebuilds it. Frozen node indices are NOT
-  // stable across refreeze — any cache keyed on covering_node() results
-  // must be dropped after a delta.
+  // image stale (covering() falls back to the pointer walk) until
+  // refreeze() rebuilds it.
 
   /// Removes every entry announced for `prefix`, returning the removed
   /// list (empty when the prefix was not in the table) so a later
@@ -80,22 +81,6 @@ class Rib {
   /// Rebuilds the frozen image after withdraw()/announce(). No-op when
   /// the table was never frozen.
   void refreeze();
-
-  /// Sentinel for "no covering node" from covering_node().
-  static constexpr std::uint32_t kNoNode = 0xFFFFFFFFu;
-
-  /// Dense trie-node index of the deepest node covering `addr` — the
-  /// compact cache key for covering(): two addresses with the same node
-  /// index have the same covering set. Requires frozen().
-  std::uint32_t covering_node(const net::IpAddress& addr) const;
-
-  /// Number of nodes in the frozen image (node indices are < this), for
-  /// sizing direct-mapped per-node caches. Requires frozen().
-  std::size_t frozen_node_count() const;
-
-  /// The covering set identified by a covering_node() result (kNoNode
-  /// yields an empty list). Requires frozen().
-  std::vector<CoveringResult> covering_path(std::uint32_t node) const;
 
   /// Distinct origin ASes announced for `prefix` across all peers,
   /// excluding AS_SET-terminated paths.

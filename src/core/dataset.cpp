@@ -222,7 +222,7 @@ void DomainTable::append_variant(VariantColumns& columns,
   columns.unrouted.push_back(variant.unrouted_addresses);
   columns.cname_hops.push_back(variant.cname_hops);
   columns.terminal_cname.push_back(variant.terminal_cname.empty()
-                                       ? StringInterner::kNotFound
+                                       ? util::StringInterner::kNotFound
                                        : names_.intern(variant.terminal_cname));
   columns.pair_begin.push_back(static_cast<std::uint32_t>(pairs_.size()));
   columns.pair_count.push_back(
@@ -257,7 +257,7 @@ void DomainTable::set_variant(VariantColumns& columns, std::size_t index,
   columns.unrouted[index] = variant.unrouted_addresses;
   columns.cname_hops[index] = variant.cname_hops;
   columns.terminal_cname[index] = variant.terminal_cname.empty()
-                                      ? StringInterner::kNotFound
+                                      ? util::StringInterner::kNotFound
                                       : names_.intern(variant.terminal_cname);
   const auto count = static_cast<std::uint32_t>(variant.pairs.size());
   if (count <= columns.pair_count[index]) {
@@ -297,8 +297,9 @@ void DomainTable::append_table(const DomainTable& other) {
     remap[id] = names_.intern(other.names_.view(id));
   }
   const auto remap_id = [&](NameId id) {
-    return id == StringInterner::kNotFound ? StringInterner::kNotFound
-                                           : remap[id];
+    return id == util::StringInterner::kNotFound
+               ? util::StringInterner::kNotFound
+               : remap[id];
   };
 
   rank_.insert(rank_.end(), other.rank_.begin(), other.rank_.end());
@@ -340,8 +341,9 @@ DomainTable::VariantView DomainTable::variant_view(
   view.unrouted_addresses = columns.unrouted[index];
   view.cname_hops = columns.cname_hops[index];
   const NameId cname = columns.terminal_cname[index];
-  view.terminal_cname =
-      cname == StringInterner::kNotFound ? std::string_view() : names_.view(cname);
+  view.terminal_cname = cname == util::StringInterner::kNotFound
+                            ? std::string_view()
+                            : names_.view(cname);
   view.pairs = std::span<const PrefixAsPair>(
       pairs_.data() + columns.pair_begin[index], columns.pair_count[index]);
   return view;

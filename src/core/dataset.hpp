@@ -21,7 +21,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/interner.hpp"
+#include "util/interner.hpp"
 #include "net/asn.hpp"
 #include "net/prefix.hpp"
 #include "rpki/origin_validation.hpp"
@@ -110,7 +110,7 @@ struct DomainRecord {
 /// reproduces the serial table exactly — interner ids included.
 class DomainTable {
  public:
-  using NameId = StringInterner::Id;
+  using NameId = util::StringInterner::Id;
 
   /// Cheap view of one variant: scalars by value, strings and pairs as
   /// views into the table. Field names mirror VariantResult so reader
@@ -265,7 +265,7 @@ class DomainTable {
   VariantColumns www_;
   VariantColumns apex_;
   std::vector<PrefixAsPair> pairs_;
-  StringInterner names_;
+  util::StringInterner names_;
 };
 
 struct PipelineCounters {

@@ -4,9 +4,7 @@
 #include <cassert>
 #include <memory>
 
-#include "bgp/covering_cache.hpp"
 #include "exec/thread_pool.hpp"
-#include "net/special.hpp"
 #include "obs/sched.hpp"
 #include "obs/span.hpp"
 #include "obs/telemetry.hpp"
@@ -51,25 +49,6 @@ double per_second(std::uint64_t items, double ms) {
 
 }  // namespace
 
-struct MeasurementPipeline::SweepContext {
-  dns::StubResolver resolver;
-  bgp::CoveringCache covering;
-  rpki::ValidationCache validation;
-  PipelineCounters counters;
-
-  /// Per-domain scratch reused across every row this context measures.
-  VariantResult www_scratch;
-  VariantResult apex_scratch;
-
-  SweepContext(const dns::AuthoritativeServer* server, const bgp::Rib* rib,
-               const rpki::VrpIndex* index,
-               const rpki::SharedValidationCache* shared,
-               obs::Registry* registry)
-      : resolver(server), covering(rib), validation(index, shared) {
-    resolver.attach(registry);
-  }
-};
-
 MeasurementPipeline::MeasurementPipeline(const web::Ecosystem& ecosystem,
                                          PipelineConfig config)
     : ecosystem_(ecosystem), config_(config) {
@@ -105,8 +84,7 @@ void MeasurementPipeline::prepare_rib(exec::ThreadPool* pool) {
   assert(rib.ok() && "ecosystem MRT dump must parse");
   rib_ = std::move(rib).value();
   // Freeze the compact array-mapped trie image: the sweep's covering
-  // caches key on its node indices, and the flat walk is cheaper than
-  // pointer chasing for every miss.
+  // walks run over one flat array instead of chasing heap pointers.
   rib_.freeze();
   setup_stats_.rib_prepare_ms = ms_since(stage_start);
   setup_stats_.mrt_records_per_sec = per_second(mrt_stats_.records, parse_ms);
@@ -191,206 +169,28 @@ void MeasurementPipeline::prepare_vrps(exec::ThreadPool* pool) {
                                    : "validation produced no VRPs");
 }
 
-void MeasurementPipeline::warm_validation_cache() {
-  obs::Span span(config_.registry, "stage4.cache_warm");
-  const auto start = std::chrono::steady_clock::now();
-  shared_validation_ = rpki::SharedValidationCache();
-  // A domain can only yield (prefix, origin) pairs that exist as RIB
-  // announcements, so this covers the sweep's entire stage 4 key space —
-  // workers then share one warm read-only cache instead of each paying
-  // the same misses privately.
-  rib_.visit([&](const net::Prefix& prefix,
-                 const std::vector<bgp::RibEntry>& entries) {
-    for (const auto& entry : entries) {
-      if (entry.as_path.contains_as_set()) continue;  // excluded in stage 3
-      if (const auto origin = entry.origin()) {
-        shared_validation_.warm(vrp_index_, prefix, *origin);
-      }
-    }
-  });
-  setup_stats_.cache_warm_ms = ms_since(start);
-  setup_stats_.cache_warm_entries = shared_validation_.size();
-  if (config_.registry != nullptr) {
-    config_.registry->gauge("ripki.rpki.validation_cache_warmed")
-        .set(static_cast<std::int64_t>(shared_validation_.size()));
-    config_.registry->describe("ripki.rpki.validation_cache_warmed",
-                               "(prefix, origin) pairs pre-validated into "
-                               "the shared cache before the sweep");
-  }
-  log(obs::LogLevel::kInfo, "stage 4 shared cache warmed",
-      {{"entries", shared_validation_.size()}});
-}
-
-void MeasurementPipeline::measure_variant(SweepContext& ctx,
-                                          const dns::DnsName& name,
-                                          VariantResult& out) {
-  out.reset();
-  VariantResult& result = out;
-  PipelineCounters& counters = ctx.counters;
-
-  // Step 2: resolve A/AAAA with CNAME chasing.
-  obs::Span dns_span(config_.registry, "stage2.dns");
-  obs::StageScope dns_stage(config_.sched, obs::SweepStage::kDns);
-  auto resolution = ctx.resolver.resolve_all(name);
-  dns_stage.stop();
-  dns_span.stop();
-  if (!resolution.ok()) return;  // treated as unresolvable
-  const dns::Resolution& res = resolution.value();
-  result.cname_hops = static_cast<std::uint8_t>(
-      std::min<std::size_t>(res.cname_hops(), 255));
-  if (res.cname_hops() > 0) result.terminal_cname = res.chain.back().to_string();
-  if (res.rcode != dns::Rcode::kNoError) return;
-
-  // Filter IANA special-purpose answers.
-  std::vector<net::IpAddress> addresses;
-  for (const auto& addr : res.addresses) {
-    if (net::is_special_purpose(addr)) {
-      ++result.special_purpose_excluded;
-      ++counters.special_purpose_excluded;
-      continue;
-    }
-    addresses.push_back(addr);
-  }
-  if (addresses.empty()) return;
-  result.resolved = true;
-  result.address_count = static_cast<std::uint16_t>(
-      std::min<std::size_t>(addresses.size(), UINT16_MAX));
-
-  // Step 3: all covering prefixes and their origin ASes, through the
-  // per-worker memoized covering lookup (keyed on frozen-trie node
-  // indices, so addresses sharing a deepest prefix share a slot).
-  obs::Span lookup_span(config_.registry, "stage3.prefix_origin");
-  obs::StageScope lookup_stage(config_.sched, obs::SweepStage::kCovering);
-  std::vector<PrefixAsPair>& pairs = result.pairs;  // reset() kept capacity
-  for (const auto& addr : addresses) {
-    const auto& covering = ctx.covering.covering(addr);
-    if (covering.empty()) {
-      ++result.unrouted_addresses;
-      ++counters.unrouted_addresses;
-      continue;
-    }
-    for (const auto& match : covering) {
-      for (const auto& entry : *match.entries) {
-        if (entry.as_path.contains_as_set()) {
-          ++counters.as_set_entries_excluded;
-          continue;
-        }
-        const auto origin = entry.origin();
-        if (!origin.has_value()) continue;
-        pairs.push_back(PrefixAsPair{match.prefix, *origin});
-      }
-    }
-  }
-
-  // Deduplicate (a domain with several addresses in one prefix yields the
-  // pair once) and run step 4 on each unique pair: shared warm cache
-  // first, per-worker overflow second.
-  dedupe_pairs(pairs);
-  lookup_stage.stop();
-  lookup_span.stop();
-  obs::Span validate_span(config_.registry, "stage4.origin_validation");
-  obs::StageScope validate_stage(config_.sched, obs::SweepStage::kValidation);
-  for (auto& pair : pairs) {
-    pair.validity = ctx.validation.validate(pair.prefix, pair.origin);
-  }
-  validate_stage.stop();
-  validate_span.stop();
-}
-
-void MeasurementPipeline::measure_domain(std::size_t index, SweepContext& ctx,
+void MeasurementPipeline::measure_domain(std::size_t index,
+                                         MeasureKernel& kernel,
+                                         PipelineCounters& counters,
                                          DomainTable& out) {
-  const web::DomainPlan& plan = ecosystem_.plan(index);
   const std::string_view name = ecosystem_.plan_name(index);
-
-  auto apex_name = dns::DnsName::parse(name);
-  assert(apex_name.ok());
-  const dns::DnsName www_name = apex_name.value().prepended("www");
-
-  measure_variant(ctx, www_name, ctx.www_scratch);
-  measure_variant(ctx, apex_name.value(), ctx.apex_scratch);
-  const bool excluded_dns =
-      !ctx.www_scratch.resolved && !ctx.apex_scratch.resolved;
-
-  // DNSSEC adoption probe (future-work comparison): does the zone apex
-  // publish a DNSKEY?
-  bool dnssec_signed = false;
-  {
-    obs::StageScope probe_stage(config_.sched, obs::SweepStage::kDns);
-    if (auto dnskey =
-            ctx.resolver.query(apex_name.value(), dns::RecordType::kDnskey);
-        dnskey.ok()) {
-      for (const auto& rr : dnskey.value().answers) {
-        if (rr.type == dns::RecordType::kDnskey) {
-          dnssec_signed = true;
-          ++ctx.counters.dnssec_signed_domains;
-          break;
-        }
-      }
-    }
-  }
-
+  auto apex = dns::DnsName::parse(name);
+  assert(apex.ok());
+  const RowResult& row = kernel.measure(apex.value());
   obs::StageScope emit_stage(config_.sched, obs::SweepStage::kEmit);
-  ++ctx.counters.domains_total;
-  if (excluded_dns) ++ctx.counters.domains_excluded_dns;
-  ctx.counters.addresses_www += ctx.www_scratch.address_count;
-  ctx.counters.addresses_apex += ctx.apex_scratch.address_count;
-  ctx.counters.pairs_www += ctx.www_scratch.pairs.size();
-  ctx.counters.pairs_apex += ctx.apex_scratch.pairs.size();
-  out.append(plan.rank, name, excluded_dns, dnssec_signed, ctx.www_scratch,
-             ctx.apex_scratch);
-}
-
-void MeasurementPipeline::absorb_context(SweepContext& ctx, Dataset& dataset) {
-  ctx.counters.dns_queries = ctx.resolver.queries_sent();
-  dataset.counters.merge(ctx.counters);
-  cache_stats_.covering_hits += ctx.covering.hits();
-  cache_stats_.covering_misses += ctx.covering.misses();
-  cache_stats_.validation_hits += ctx.validation.hits();
-  cache_stats_.validation_misses += ctx.validation.misses();
-  cache_stats_.workers.push_back(CacheStats::Worker{
-      .covering_hits = ctx.covering.hits(),
-      .covering_misses = ctx.covering.misses(),
-      .validation_hits = ctx.validation.hits(),
-      .validation_misses = ctx.validation.misses()});
+  count_row(counters, row, +1);
+  out.append(ecosystem_.plan(index).rank, name, row.excluded_dns,
+             row.dnssec_signed, row.www, row.apex);
 }
 
 void MeasurementPipeline::publish_sweep_metrics() const {
   if (config_.registry == nullptr) return;
   obs::Registry& registry = *config_.registry;
-  registry.counter("ripki.bgp.covering_cache_hits")
-      .inc(cache_stats_.covering_hits);
-  registry.counter("ripki.bgp.covering_cache_misses")
-      .inc(cache_stats_.covering_misses);
-  registry.counter("ripki.rpki.validation_cache_hits")
-      .inc(cache_stats_.validation_hits);
-  registry.counter("ripki.rpki.validation_cache_misses")
-      .inc(cache_stats_.validation_misses);
-  registry.describe("ripki.bgp.covering_cache_hits",
-                    "Covering-prefix lookups answered from the per-worker "
-                    "trie-node cache");
-  registry.describe("ripki.bgp.covering_cache_misses",
-                    "Covering-prefix lookups that materialised a covering "
-                    "set (per-worker cache miss)");
-  registry.describe("ripki.rpki.validation_cache_hits",
-                    "RFC 6811 validations answered from the shared warm "
-                    "cache or the per-worker overflow");
-  registry.describe("ripki.rpki.validation_cache_misses",
-                    "RFC 6811 validations computed against the VRP index "
-                    "(missed both cache tiers)");
   registry.gauge("ripki.exec.threads")
       .set(static_cast<std::int64_t>(effective_threads_));
   registry.describe("ripki.exec.threads",
                     "Sweep worker threads of the last run after the "
                     "hardware-concurrency clamp (0 = serial)");
-  registry.gauge("ripki.exec.covering_cache_hit_rate_pct")
-      .set(static_cast<std::int64_t>(cache_stats_.covering_hit_rate() * 100.0));
-  registry.gauge("ripki.exec.validation_cache_hit_rate_pct")
-      .set(static_cast<std::int64_t>(cache_stats_.validation_hit_rate() *
-                                     100.0));
-  registry.describe("ripki.exec.covering_cache_hit_rate_pct",
-                    "Covering-prefix cache hit rate of the last run (%)");
-  registry.describe("ripki.exec.validation_cache_hit_rate_pct",
-                    "Origin-validation cache hit rate of the last run (%)");
 }
 
 Dataset MeasurementPipeline::run() {
@@ -405,7 +205,7 @@ Dataset MeasurementPipeline::run() {
                                "Validated ROA payloads feeding stage 4");
   }
   // Clamp to the host: more workers than cores only time-slice each other
-  // (and split the cache working sets) — never a speedup.
+  // — never a speedup.
   effective_threads_ = config_.threads;
   const std::size_t hardware = exec::ThreadPool::hardware_threads();
   if (effective_threads_ > hardware) {
@@ -441,8 +241,6 @@ Dataset MeasurementPipeline::run() {
   }
   prepare_rib(pool.get());
   prepare_vrps(pool.get());
-  warm_validation_cache();
-  cache_stats_ = CacheStats{};
 
   // Materialize the vantage's zone view on this thread (lazily built) and
   // the single authoritative-server view over it; workers share both
@@ -461,36 +259,40 @@ Dataset MeasurementPipeline::run() {
       {{"domains", count}, {"threads", effective_threads_}});
 
   if (effective_threads_ == 0) {
-    SweepContext ctx(&server, &rib_, &vrp_index_, &shared_validation_,
-                     config_.registry);
+    MeasureKernel kernel(&server, &rib_, &vrp_index_, config_.registry,
+                         config_.sched);
     obs::Span sweep_span(config_.registry, "sweep");
-    // Bind the calling thread to the external lane so the stage scopes in
-    // measure_variant attribute serial sweep time too.
+    // Bind the calling thread to the external lane so the kernel's stage
+    // scopes attribute serial sweep time too.
     obs::LaneScope lane(config_.sched, config_.sched != nullptr
                                            ? config_.sched->external_lane()
                                            : 0);
     dataset.domains.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
-      measure_domain(i, ctx, dataset.domains);
+      measure_domain(i, kernel, dataset.counters, dataset.domains);
     }
     sweep_span.stop();
-    absorb_context(ctx, dataset);
+    dataset.counters.dns_queries = kernel.queries_sent();
   } else {
-    std::vector<std::unique_ptr<SweepContext>> contexts;
-    contexts.reserve(pool->size());
+    // One kernel per pool worker: each owns its resolver; the zone view,
+    // frozen RIB and VRP index are shared read-only.
+    std::vector<MeasureKernel> kernels;
+    kernels.reserve(pool->size());
     for (std::size_t i = 0; i < pool->size(); ++i) {
-      contexts.push_back(std::make_unique<SweepContext>(
-          &server, &rib_, &vrp_index_, &shared_validation_, config_.registry));
+      kernels.emplace_back(&server, &rib_, &vrp_index_, config_.registry,
+                           config_.sched);
     }
-    // Each shard appends into its own SoA fragment; fragments merge in
-    // shard order below, replaying the serial append sequence exactly —
-    // the dataset is identical to the serial run for every thread count.
+    // Each shard appends into its own SoA fragment and counts into its
+    // own counters; fragments merge in shard order below, replaying the
+    // serial append sequence exactly — the dataset is identical to the
+    // serial run for every thread count.
     const std::size_t n_shards = sweep_shard_count(pool->size(), count);
     std::vector<DomainTable> fragments(n_shards);
+    std::vector<PipelineCounters> shard_counters(n_shards);
     exec::parallel_for_shards(
         *pool, count, n_shards,
         [&](std::size_t shard, std::size_t begin, std::size_t end) {
-          SweepContext& ctx = *contexts[exec::ThreadPool::current_worker()];
+          MeasureKernel& kernel = kernels[exec::ThreadPool::current_worker()];
           DomainTable& fragment = fragments[shard];
           fragment.reserve(end - begin);
           // Root span per shard, named with the full dotted path so worker
@@ -500,7 +302,7 @@ Dataset MeasurementPipeline::run() {
           // worker's Perfetto track.
           obs::Span sweep_span(config_.registry, "pipeline.run.sweep");
           for (std::size_t i = begin; i < end; ++i) {
-            measure_domain(i, ctx, fragment);
+            measure_domain(i, kernel, shard_counters[shard], fragment);
           }
         });
     obs::Span merge_span(config_.registry, "pipeline.run.sweep_merge");
@@ -509,9 +311,14 @@ Dataset MeasurementPipeline::run() {
       dataset.domains.append_table(fragment);
     }
     merge_span.stop();
-    // Per-worker counters merge once at join; field-wise sums are
-    // order-independent, so totals match the serial run exactly.
-    for (auto& ctx : contexts) absorb_context(*ctx, dataset);
+    // Field-wise sums are order-independent, so totals match the serial
+    // run exactly.
+    for (const PipelineCounters& counters : shard_counters) {
+      dataset.counters.merge(counters);
+    }
+    for (const MeasureKernel& kernel : kernels) {
+      dataset.counters.dns_queries += kernel.queries_sent();
+    }
   }
 
   const std::uint64_t resolved =

@@ -18,10 +18,9 @@
 
 #include "bgp/mrt.hpp"
 #include "core/dataset.hpp"
-#include "dns/resolver.hpp"
+#include "core/kernel.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
-#include "rpki/validation_cache.hpp"
 #include "rpki/validator.hpp"
 #include "rtr/client.hpp"
 #include "web/ecosystem.hpp"
@@ -62,9 +61,9 @@ struct PipelineConfig {
   /// 0 (the default) runs everything serially on the calling thread. With
   /// N >= 1, one exec::ThreadPool of N workers drives the MRT parse
   /// (record-sliced), the repository validation (publication points
-  /// sharded), and the rank-axis sweep (each worker owning its own
-  /// resolver and overflow caches over shared read-only state: zone view,
-  /// frozen RIB, warmed validation cache); per-shard output fragments
+  /// sharded), and the rank-axis sweep (one MeasureKernel per worker,
+  /// each owning its resolver, over shared read-only state: zone view,
+  /// frozen RIB, VRP index); per-shard output fragments
   /// merge in shard order at join, so RIB, validation report, and dataset
   /// are identical to the serial run for every thread count.
   ///
@@ -110,45 +109,12 @@ class MeasurementPipeline {
   /// Runs all four steps and returns the annotated dataset.
   Dataset run();
 
-  /// Hot-path cache traffic of the last run(): aggregate totals plus one
-  /// per-worker entry (index = pool worker; a serial run has exactly one),
-  /// so imbalanced cache behavior across workers stays visible. Totals are
-  /// also published to the registry as `ripki.bgp.covering_cache_*` /
-  /// `ripki.rpki.validation_cache_*`.
+  /// Cache hit ratios of the sweep. The sweep keeps no caches, so both
+  /// read 0, which means "no cache traffic". perfbench/ledger.cpp is the
+  /// sole reader of this shape.
   struct CacheStats {
-    std::uint64_t covering_hits = 0;
-    std::uint64_t covering_misses = 0;
-    std::uint64_t validation_hits = 0;
-    std::uint64_t validation_misses = 0;
-
-    /// Hit fraction in [0, 1]; 0 when the cache saw no traffic.
-    static double rate(std::uint64_t hits, std::uint64_t misses) {
-      const std::uint64_t total = hits + misses;
-      return total == 0 ? 0.0
-                        : static_cast<double>(hits) / static_cast<double>(total);
-    }
-    double covering_hit_rate() const {
-      return rate(covering_hits, covering_misses);
-    }
-    double validation_hit_rate() const {
-      return rate(validation_hits, validation_misses);
-    }
-
-    /// One sweep context's traffic (per pool worker, in worker order).
-    struct Worker {
-      std::uint64_t covering_hits = 0;
-      std::uint64_t covering_misses = 0;
-      std::uint64_t validation_hits = 0;
-      std::uint64_t validation_misses = 0;
-
-      double covering_hit_rate() const {
-        return rate(covering_hits, covering_misses);
-      }
-      double validation_hit_rate() const {
-        return rate(validation_hits, validation_misses);
-      }
-    };
-    std::vector<Worker> workers;
+    double covering_hit_rate() const { return 0.0; }
+    double validation_hit_rate() const { return 0.0; }
   };
 
   /// Wall-clock timings and throughput of the two setup stages of the
@@ -161,11 +127,6 @@ class MeasurementPipeline {
     double vrp_prepare_ms = 0.0;
     double mrt_records_per_sec = 0.0;
     double roas_per_sec = 0.0;
-    /// Warming the shared validation cache from RIB x VRP index (once
-    /// per run, before the sweep).
-    double cache_warm_ms = 0.0;
-    /// (prefix, origin) pairs pre-validated into the shared cache.
-    std::uint64_t cache_warm_entries = 0;
   };
 
   /// Worker count the sweep actually ran with after clamping to hardware
@@ -177,35 +138,18 @@ class MeasurementPipeline {
   const rpki::VrpIndex& vrp_index() const { return vrp_index_; }
   const bgp::Rib& rib() const { return rib_; }
   const bgp::mrt::ParseStats& mrt_stats() const { return mrt_stats_; }
-  const CacheStats& cache_stats() const { return cache_stats_; }
+  CacheStats cache_stats() const { return {}; }
   const SetupStats& setup_stats() const { return setup_stats_; }
 
  private:
-  /// Per-worker sweep state: a stub resolver over the *shared*
-  /// authoritative-server view, per-worker covering cache and validation
-  /// overflow cache (both over shared read-only structures), private
-  /// counters, and reusable per-domain scratch. The serial path uses a
-  /// single instance; the parallel path one per pool worker. Setup cost
-  /// per worker is independent of dataset and zone size.
-  struct SweepContext;
-
   void prepare_rib(exec::ThreadPool* pool);
   void prepare_vrps(exec::ThreadPool* pool);
-  /// Pre-validates every (prefix, origin) pair the RIB can produce into
-  /// the shared validation cache — the sweep's whole stage 4 key space.
-  void warm_validation_cache();
-  /// Measures one domain (stages 2–4 for both name variants plus the
-  /// DNSSEC probe), charging counters to `ctx`, and appends the result
-  /// row to `out` (the dataset table or a per-shard fragment).
-  void measure_domain(std::size_t index, SweepContext& ctx, DomainTable& out);
-  /// Measures one name variant into `out` (reset first; capacity reused
-  /// across calls — `out` is per-worker scratch).
-  void measure_variant(SweepContext& ctx, const dns::DnsName& name,
-                       VariantResult& out);
-  /// Folds a finished context into the dataset: resolver query count,
-  /// counter merge, cache hit/miss accumulation.
-  void absorb_context(SweepContext& ctx, Dataset& dataset);
-  /// Publishes cache totals and the thread-count/hit-rate gauges.
+  /// Measures domain `index` with `kernel`, counts it into `counters`
+  /// and appends its row to `out` (the dataset table or a shard's
+  /// fragment).
+  void measure_domain(std::size_t index, MeasureKernel& kernel,
+                      PipelineCounters& counters, DomainTable& out);
+  /// Publishes the thread-count gauge.
   void publish_sweep_metrics() const;
   /// Emits through the global logger when `config_.verbosity` admits it.
   void log(obs::LogLevel level, std::string_view message,
@@ -222,8 +166,6 @@ class MeasurementPipeline {
   bgp::mrt::ParseStats mrt_stats_;
   rpki::ValidationReport report_;
   rpki::VrpIndex vrp_index_;
-  rpki::SharedValidationCache shared_validation_;
-  CacheStats cache_stats_;
   SetupStats setup_stats_;
 };
 

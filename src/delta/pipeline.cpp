@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <utility>
 
-#include "net/special.hpp"
 #include "rpki/validator.hpp"
 
 namespace ripki::delta {
@@ -103,23 +102,18 @@ void IncrementalPipeline::init() {
   dataset_.domains.reserve(rows_);
   row_prefixes_.assign(rows_, {});
   row_addrs_.assign(rows_, {});
-  dns::StubResolver resolver(server_.get());
-  core::VariantResult www;
-  core::VariantResult apex;
-  std::vector<net::IpAddress> kept;
-  for (std::size_t row = 0; row < rows_; ++row) {
-    kept.clear();
-    bool excluded_dns = false;
-    bool dnssec_signed = false;
-    measure_row(static_cast<std::uint32_t>(row), resolver, www, apex,
-                &excluded_dns, &dnssec_signed, &kept,
-                &dataset_.counters.as_set_entries_excluded);
+  row_as_set_.assign(rows_, 0);
+  core::MeasureKernel kernel(server_.get(), &rib_, &vrp_index_);
+  for (std::uint32_t row = 0; row < rows_; ++row) {
+    const core::RowResult& result = kernel.measure(apex_name(row));
     dataset_.domains.append(eco_.plan(row).rank, eco_.plan_name(row),
-                            excluded_dns, dnssec_signed, www, apex);
-    apply_row_counters(+1, excluded_dns, dnssec_signed, www, apex);
-    index_row(static_cast<std::uint32_t>(row), www, apex, kept);
+                            result.excluded_dns, result.dnssec_signed,
+                            result.www, result.apex);
+    core::count_row(dataset_.counters, result, +1);
+    row_as_set_[row] = result.as_set_excluded;
+    index_row(row, result);
   }
-  dataset_.counters.dns_queries = resolver.queries_sent();
+  dataset_.counters.dns_queries = kernel.queries_sent();
 
   generation_ = 1;
   snapshot_ = serve::Snapshot::build(dataset_, rib_, current_vrps_,
@@ -152,120 +146,14 @@ ChurnUniverse IncrementalPipeline::universe() const {
   return universe;
 }
 
-// --- Measurement kernel ---------------------------------------------------
-// Same semantics as MeasurementPipeline::measure_variant/measure_domain
-// (core/pipeline.cpp), minus the per-worker caches: the dirty set is small,
-// so every re-sweep hits the trie and VRP index directly. The oracle and
-// the delta path share this kernel, which is what makes byte identity a
-// meaningful check of the *invalidation* logic rather than the kernel.
-
-void IncrementalPipeline::measure_variant(
-    dns::StubResolver& resolver, const dns::DnsName& name,
-    core::VariantResult& out, std::vector<net::IpAddress>* kept_addresses,
-    std::uint64_t* as_set_excluded) const {
-  out.reset();
-  auto resolution = resolver.resolve_all(name);
-  if (!resolution.ok()) return;  // treated as unresolvable
-  const dns::Resolution& res = resolution.value();
-  out.cname_hops =
-      static_cast<std::uint8_t>(std::min<std::size_t>(res.cname_hops(), 255));
-  if (res.cname_hops() > 0) out.terminal_cname = res.chain.back().to_string();
-  if (res.rcode != dns::Rcode::kNoError) return;
-
-  std::vector<net::IpAddress> addresses;
-  for (const auto& addr : res.addresses) {
-    if (net::is_special_purpose(addr)) {
-      ++out.special_purpose_excluded;
-      continue;
-    }
-    addresses.push_back(addr);
-  }
-  if (addresses.empty()) return;
-  out.resolved = true;
-  out.address_count = static_cast<std::uint16_t>(
-      std::min<std::size_t>(addresses.size(), UINT16_MAX));
-
-  for (const auto& addr : addresses) {
-    const auto covering = rib_.covering(addr);
-    if (covering.empty()) {
-      ++out.unrouted_addresses;
-      continue;
-    }
-    for (const auto& match : covering) {
-      for (const auto& entry : *match.entries) {
-        if (entry.as_path.contains_as_set()) {
-          if (as_set_excluded != nullptr) ++*as_set_excluded;
-          continue;
-        }
-        const auto origin = entry.origin();
-        if (!origin.has_value()) continue;
-        out.pairs.push_back(core::PrefixAsPair{match.prefix, *origin});
-      }
-    }
-  }
-  core::dedupe_pairs(out.pairs);
-  for (auto& pair : out.pairs)
-    pair.validity = vrp_index_.validate(pair.prefix, pair.origin);
-  if (kept_addresses != nullptr)
-    kept_addresses->insert(kept_addresses->end(), addresses.begin(),
-                           addresses.end());
-}
-
-void IncrementalPipeline::measure_row(
-    std::uint32_t row, dns::StubResolver& resolver, core::VariantResult& www,
-    core::VariantResult& apex, bool* excluded_dns, bool* dnssec_signed,
-    std::vector<net::IpAddress>* kept_addresses,
-    std::uint64_t* as_set_excluded) const {
-  const dns::DnsName apex_dn = apex_name(row);
-  const dns::DnsName www_dn = apex_dn.prepended("www");
-  measure_variant(resolver, www_dn, www, kept_addresses, as_set_excluded);
-  measure_variant(resolver, apex_dn, apex, kept_addresses, as_set_excluded);
-  *excluded_dns = !www.resolved && !apex.resolved;
-  *dnssec_signed = false;
-  if (auto dnskey = resolver.query(apex_dn, dns::RecordType::kDnskey);
-      dnskey.ok()) {
-    for (const auto& rr : dnskey.value().answers) {
-      if (rr.type == dns::RecordType::kDnskey) {
-        *dnssec_signed = true;
-        break;
-      }
-    }
-  }
-}
-
-void IncrementalPipeline::apply_row_counters(int sign, bool excluded_dns,
-                                             bool dnssec_signed,
-                                             const core::VariantResult& www,
-                                             const core::VariantResult& apex) {
-  core::PipelineCounters& c = dataset_.counters;
-  const auto add = [sign](std::uint64_t& field, std::uint64_t value) {
-    field = static_cast<std::uint64_t>(static_cast<std::int64_t>(field) +
-                                       sign * static_cast<std::int64_t>(value));
-  };
-  add(c.domains_total, 1);
-  add(c.domains_excluded_dns, excluded_dns ? 1 : 0);
-  add(c.addresses_www, www.address_count);
-  add(c.addresses_apex, apex.address_count);
-  add(c.special_purpose_excluded,
-      static_cast<std::uint64_t>(www.special_purpose_excluded) +
-          apex.special_purpose_excluded);
-  add(c.unrouted_addresses, static_cast<std::uint64_t>(www.unrouted_addresses) +
-                                apex.unrouted_addresses);
-  add(c.pairs_www, www.pairs.size());
-  add(c.pairs_apex, apex.pairs.size());
-  add(c.dnssec_signed_domains, dnssec_signed ? 1 : 0);
-}
-
 // --- Reverse indices ------------------------------------------------------
 
-void IncrementalPipeline::index_row(
-    std::uint32_t row, const core::VariantResult& www,
-    const core::VariantResult& apex,
-    const std::vector<net::IpAddress>& kept_addresses) {
+void IncrementalPipeline::index_row(std::uint32_t row,
+                                    const core::RowResult& result) {
   std::vector<net::Prefix>& prefixes = row_prefixes_[row];
   prefixes.clear();
-  for (const auto& pair : www.pairs) prefixes.push_back(pair.prefix);
-  for (const auto& pair : apex.pairs) prefixes.push_back(pair.prefix);
+  for (const auto& pair : result.www.pairs) prefixes.push_back(pair.prefix);
+  for (const auto& pair : result.apex.pairs) prefixes.push_back(pair.prefix);
   std::sort(prefixes.begin(), prefixes.end());
   prefixes.erase(std::unique(prefixes.begin(), prefixes.end()),
                  prefixes.end());
@@ -273,7 +161,7 @@ void IncrementalPipeline::index_row(
     prefix_rows_[prefix].push_back(row);
 
   std::vector<net::IpAddress>& addrs = row_addrs_[row];
-  addrs = kept_addresses;
+  addrs = result.kept_addresses;
   std::sort(addrs.begin(), addrs.end());
   addrs.erase(std::unique(addrs.begin(), addrs.end()), addrs.end());
   for (const net::IpAddress& addr : addrs) addr_rows_[addr].push_back(row);
@@ -464,35 +352,37 @@ TickStats IncrementalPipeline::apply_tick(const Tick& tick) {
   stats.rtr_serial = client_.serial();
 
   // 4. Re-sweep only the invalidated rows; rows whose re-measured record
-  // is unchanged stay out of the snapshot overlay.
+  // is unchanged stay out of the snapshot overlay. The aggregate counters
+  // trade the row's previous result for the new one, AS_SET count
+  // included (it is not part of the stored record).
   stats.dirty_rows = dirty.size();
   std::vector<std::uint32_t> changed;
-  dns::StubResolver resolver(server_.get());
-  core::VariantResult www;
-  core::VariantResult apex;
-  std::vector<net::IpAddress> kept;
+  core::MeasureKernel kernel(server_.get(), &rib_, &vrp_index_);
+  core::RowResult previous;
   for (const std::uint32_t row : dirty) {
-    kept.clear();
-    bool excluded_dns = false;
-    bool dnssec_signed = false;
-    measure_row(row, resolver, www, apex, &excluded_dns, &dnssec_signed, &kept,
-                &dataset_.counters.as_set_entries_excluded);
+    const core::RowResult& result = kernel.measure(apex_name(row));
     const core::DomainTable::RecordView old = dataset_.domains.view(row);
-    if (old.excluded_dns == excluded_dns &&
-        old.dnssec_signed == dnssec_signed && old.www == www &&
-        old.apex == apex)
-      continue;
-    const core::DomainRecord previous = old.to_record();
-    apply_row_counters(-1, previous.excluded_dns, previous.dnssec_signed,
-                       previous.www, previous.apex);
-    apply_row_counters(+1, excluded_dns, dnssec_signed, www, apex);
-    dataset_.domains.set_row(row, excluded_dns, dnssec_signed, www, apex);
+    const bool same_record = old.excluded_dns == result.excluded_dns &&
+                             old.dnssec_signed == result.dnssec_signed &&
+                             old.www == result.www && old.apex == result.apex;
+    if (same_record && row_as_set_[row] == result.as_set_excluded) continue;
+    previous.www = old.www.to_result();
+    previous.apex = old.apex.to_result();
+    previous.excluded_dns = old.excluded_dns;
+    previous.dnssec_signed = old.dnssec_signed;
+    previous.as_set_excluded = row_as_set_[row];
+    core::count_row(dataset_.counters, previous, -1);
+    core::count_row(dataset_.counters, result, +1);
+    row_as_set_[row] = result.as_set_excluded;
+    if (same_record) continue;
+    dataset_.domains.set_row(row, result.excluded_dns, result.dnssec_signed,
+                             result.www, result.apex);
     unindex_row(row);
-    index_row(row, www, apex, kept);
+    index_row(row, result);
     changed.push_back(row);
   }
   stats.changed_rows = changed.size();
-  dataset_.counters.dns_queries += resolver.queries_sent();
+  dataset_.counters.dns_queries += kernel.queries_sent();
 
   // 5. Publish generation N+1: structural delta, or a compacting full
   // build when the overlay would outgrow the threshold.
@@ -529,16 +419,12 @@ std::shared_ptr<const serve::Snapshot> IncrementalPipeline::full_rebuild() const
   core::Dataset fresh;
   fresh.rank_space = eco_.config().rank_space;
   fresh.domains.reserve(rows_);
-  dns::StubResolver resolver(server_.get());
-  core::VariantResult www;
-  core::VariantResult apex;
-  for (std::size_t row = 0; row < rows_; ++row) {
-    bool excluded_dns = false;
-    bool dnssec_signed = false;
-    measure_row(static_cast<std::uint32_t>(row), resolver, www, apex,
-                &excluded_dns, &dnssec_signed, nullptr, nullptr);
-    fresh.domains.append(eco_.plan(row).rank, eco_.plan_name(row), excluded_dns,
-                         dnssec_signed, www, apex);
+  core::MeasureKernel kernel(server_.get(), &rib_, &vrp_index_);
+  for (std::uint32_t row = 0; row < rows_; ++row) {
+    const core::RowResult& result = kernel.measure(apex_name(row));
+    fresh.domains.append(eco_.plan(row).rank, eco_.plan_name(row),
+                         result.excluded_dns, result.dnssec_signed,
+                         result.www, result.apex);
   }
   return serve::Snapshot::build(fresh, rib_, current_vrps_,
                                 snapshot_->generation(),

@@ -11,8 +11,8 @@
 //   2. derives the invalidation set: zone dirty names map back to rows,
 //      RIB deltas fan out through an address->rows reverse index, VRP
 //      deltas through a prefix->rows reverse index,
-//   3. re-measures only those rows with the same kernel semantics as the
-//      batch sweep (DNS resolve -> covering prefixes -> RFC 6811),
+//   3. re-measures only those rows with core::MeasureKernel, the kernel
+//      the batch sweep runs (DNS resolve -> covering prefixes -> RFC 6811),
 //   4. publishes generation N+1 via serve::Snapshot::apply_delta (or a
 //      compacting full build when the overlay grows past the threshold).
 //
@@ -20,6 +20,13 @@
 // a from-scratch snapshot with the same generation stamps — the oracle.
 // check_against() byte-compares the two across every /v1/* endpoint
 // rendering; identity on every tick is the subsystem's correctness gate.
+// Delta and oracle share the kernel, so that identity checks the
+// invalidation logic; the kernel itself is checked against the batch
+// MeasurementPipeline (delta_test's BatchDeltaIdentity suite).
+//
+// The dataset's counters match a batch run over the same world field for
+// field, except `dns_queries`, which counts every query the pipeline has
+// sent since init() (re-sweeps included).
 #pragma once
 
 #include <cstdint>
@@ -32,9 +39,9 @@
 
 #include "bgp/rib.hpp"
 #include "core/dataset.hpp"
+#include "core/kernel.hpp"
 #include "delta/churn.hpp"
 #include "dns/name.hpp"
-#include "dns/resolver.hpp"
 #include "dns/server.hpp"
 #include "dns/zone.hpp"
 #include "net/ip.hpp"
@@ -125,23 +132,7 @@ class IncrementalPipeline {
   std::string deltaz_json() const;
 
  private:
-  void measure_variant(dns::StubResolver& resolver, const dns::DnsName& name,
-                       core::VariantResult& out,
-                       std::vector<net::IpAddress>* kept_addresses,
-                       std::uint64_t* as_set_excluded) const;
-  void measure_row(std::uint32_t row, dns::StubResolver& resolver,
-                   core::VariantResult& www, core::VariantResult& apex,
-                   bool* excluded_dns, bool* dnssec_signed,
-                   std::vector<net::IpAddress>* kept_addresses,
-                   std::uint64_t* as_set_excluded) const;
-  /// Adds (sign=+1) or subtracts (sign=-1) one row's contribution to the
-  /// aggregate counters.
-  void apply_row_counters(int sign, bool excluded_dns, bool dnssec_signed,
-                          const core::VariantResult& www,
-                          const core::VariantResult& apex);
-  void index_row(std::uint32_t row, const core::VariantResult& www,
-                 const core::VariantResult& apex,
-                 const std::vector<net::IpAddress>& kept_addresses);
+  void index_row(std::uint32_t row, const core::RowResult& result);
   void unindex_row(std::uint32_t row);
   void fan_out_prefix(const net::Prefix& prefix,
                       std::set<std::uint32_t>& dirty) const;
@@ -192,6 +183,8 @@ class IncrementalPipeline {
   std::map<net::IpAddress, std::vector<std::uint32_t>> addr_rows_;
   std::vector<std::vector<net::Prefix>> row_prefixes_;
   std::vector<std::vector<net::IpAddress>> row_addrs_;
+  /// Per-row AS_SET exclusions, so a re-sweep can retract the old count.
+  std::vector<std::uint64_t> row_as_set_;
 
   std::vector<TickStats> history_;
   std::uint64_t ticks_applied_ = 0;

@@ -125,9 +125,8 @@ class PrefixTrie {
   /// Array-mapped read-only image of the trie: nodes flattened into one
   /// contiguous vector addressed by dense 32-bit indices instead of
   /// pointer-chased heap nodes. Covering walks touch a few cache lines of
-  /// one array, and — the property bgp::CoveringCache keys on — the walk's
-  /// terminal node index uniquely identifies the whole covering set, so
-  /// every address inside the same deepest prefix shares one cache slot.
+  /// one array, and the walk's terminal node index uniquely identifies the
+  /// whole covering set.
   ///
   /// Values are borrowed from the source trie, which must outlive the
   /// frozen image unchanged.

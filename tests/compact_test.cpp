@@ -1,9 +1,8 @@
 // The compact core data layout behind the million-domain sweep:
 //  - util::Arena / util::StringInterner (arena-backed names, 32-bit ids)
 //  - core::DomainTable (SoA columns behind AoS-shaped views)
-//  - trie::PrefixTrie<V>::Frozen (array-mapped covering walks whose
-//    terminal node index keys bgp::CoveringCache)
-//  - rpki::SharedValidationCache (warmed once, read concurrently)
+//  - trie::PrefixTrie<V>::Frozen (array-mapped covering walks) and the
+//    RIB's choice between the frozen image and the pointer walk
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,13 +11,11 @@
 #include <thread>
 #include <vector>
 
-#include "bgp/covering_cache.hpp"
 #include "bgp/as_path.hpp"
 #include "bgp/rib.hpp"
 #include "core/dataset.hpp"
 #include "core/pipeline.hpp"
 #include "net/prefix.hpp"
-#include "rpki/validation_cache.hpp"
 #include "trie/prefix_trie.hpp"
 #include "util/arena.hpp"
 #include "util/interner.hpp"
@@ -231,8 +228,7 @@ TEST(FrozenTrie, SameDeepestNodeMeansSameCoveringSet) {
   trie.insert(P("10.0.0.0/8"), 1);
   trie.insert(P("10.1.0.0/16"), 2);
   const auto frozen = trie.freeze();
-  // Two different addresses under the same deepest prefix share the node —
-  // the invariant CoveringCache keys on.
+  // Two different addresses under the same deepest prefix share the node.
   const auto a = frozen.deepest_covering(net::IpAddress::parse("10.1.2.3").value());
   const auto b = frozen.deepest_covering(net::IpAddress::parse("10.1.200.9").value());
   EXPECT_NE(a, frozen.kNoNode);
@@ -243,106 +239,29 @@ TEST(FrozenTrie, SameDeepestNodeMeansSameCoveringSet) {
             frozen.kNoNode);
 }
 
-// --- shared validation cache -------------------------------------------------
+// --- RIB covering: frozen image vs pointer walk ------------------------------
 
-class SharedValidationCacheTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    rpki::VrpSet vrps;
-    for (std::uint32_t i = 0; i < 64; ++i) {
-      vrps.push_back(rpki::Vrp{
-          P(std::to_string(10 + i % 40) + "." + std::to_string(i) + ".0.0/16"),
-          static_cast<std::uint8_t>(16 + i % 9), net::Asn(64500 + i % 7)});
-    }
-    index_ = rpki::VrpIndex(vrps);
-    for (std::uint32_t i = 0; i < 128; ++i) {
-      keys_.emplace_back(
-          P(std::to_string(10 + i % 50) + "." + std::to_string(i % 60) +
-            ".0.0/" + std::to_string(16 + i % 10)),
-          net::Asn(64500 + i % 9));
-    }
-    for (const auto& [prefix, origin] : keys_) {
-      shared_.warm(index_, prefix, origin);
-    }
-  }
-
-  void check_with_threads(std::size_t n_threads) {
-    std::atomic<std::uint64_t> mismatches{0};
-    std::vector<std::thread> threads;
-    for (std::size_t t = 0; t < n_threads; ++t) {
-      threads.emplace_back([&] {
-        rpki::ValidationCache worker(&index_, &shared_);
-        for (int round = 0; round < 200; ++round) {
-          for (const auto& [prefix, origin] : keys_) {
-            if (worker.validate(prefix, origin) !=
-                index_.validate(prefix, origin)) {
-              mismatches.fetch_add(1, std::memory_order_relaxed);
-            }
-          }
-        }
-        // Every key was warmed, so the private tier stays empty and all
-        // traffic counts as hits.
-        if (worker.size() != 0) mismatches.fetch_add(1);
-        if (worker.misses() != 0) mismatches.fetch_add(1);
-      });
-    }
-    for (auto& thread : threads) thread.join();
-    EXPECT_EQ(mismatches.load(), 0u);
-  }
-
-  rpki::VrpIndex index_;
-  rpki::SharedValidationCache shared_;
-  std::vector<std::pair<net::Prefix, net::Asn>> keys_;
-};
-
-TEST_F(SharedValidationCacheTest, WarmedLookupsMatchIndexOneThread) {
-  check_with_threads(1);
-}
-
-TEST_F(SharedValidationCacheTest, WarmedLookupsMatchIndexFourThreads) {
-  check_with_threads(4);
-}
-
-TEST_F(SharedValidationCacheTest, WarmedLookupsMatchIndexSixteenThreads) {
-  check_with_threads(16);
-}
-
-TEST_F(SharedValidationCacheTest, UnwarmedKeysOverflowToPrivateTier) {
-  rpki::ValidationCache worker(&index_, &shared_);
-  const auto prefix = P("203.0.113.0/24");
-  const auto origin = net::Asn(65001);
-  EXPECT_EQ(shared_.lookup(prefix, origin), nullptr);
-  const auto first = worker.validate(prefix, origin);
-  EXPECT_EQ(first, index_.validate(prefix, origin));
-  EXPECT_EQ(worker.misses(), 1u);
-  EXPECT_EQ(worker.size(), 1u);
-  EXPECT_EQ(worker.validate(prefix, origin), first);
-  EXPECT_EQ(worker.hits(), 1u);
-}
-
-// --- covering cache over the frozen RIB --------------------------------------
-
-TEST(CoveringCacheFrozen, NodeKeyedSlotsHitForAddressesInTheSamePrefix) {
+TEST(RibCovering, StaleImageFallsBackToPointerWalkUntilRefreeze) {
   bgp::Rib rib;
   rib.add(bgp::RibEntry{P("10.0.0.0/8"), bgp::AsPath::sequence({1, 64500}), 0, 0});
   rib.add(bgp::RibEntry{P("10.1.0.0/16"), bgp::AsPath::sequence({1, 64501}), 0, 0});
   rib.freeze();
-  ASSERT_TRUE(rib.frozen());
+  const auto addr = net::IpAddress::parse("10.1.2.3").value();
+  ASSERT_EQ(rib.covering(addr).size(), 2u);
 
-  bgp::CoveringCache cache(&rib);
-  const auto first =
-      cache.covering(net::IpAddress::parse("10.1.2.3").value());
-  ASSERT_EQ(first.size(), 2u);
-  EXPECT_EQ(cache.misses(), 1u);
-  // A different address in the same deepest prefix shares the slot.
-  cache.covering(net::IpAddress::parse("10.1.99.7").value());
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-  // Nothing-covers also caches (the dedicated kNoNode slot).
-  cache.covering(net::IpAddress::parse("192.0.2.1").value());
-  cache.covering(net::IpAddress::parse("198.51.100.1").value());
-  EXPECT_EQ(cache.hits(), 2u);
-  EXPECT_EQ(cache.misses(), 2u);
+  // Withdrawn but not yet refrozen: the answer must already reflect it.
+  const auto removed = rib.withdraw(P("10.1.0.0/16"));
+  ASSERT_EQ(removed.size(), 1u);
+  auto covering = rib.covering(addr);
+  ASSERT_EQ(covering.size(), 1u);
+  EXPECT_EQ(covering[0].prefix, P("10.0.0.0/8"));
+
+  rib.announce(removed);
+  EXPECT_EQ(rib.covering(addr).size(), 2u);
+  rib.refreeze();
+  covering = rib.covering(addr);
+  ASSERT_EQ(covering.size(), 2u);
+  EXPECT_EQ(covering[1].prefix, P("10.1.0.0/16"));
 }
 
 // --- downscaled million-domain identity rung ---------------------------------

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "crypto/hmac.hpp"
 #include "crypto/rsa.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/uint256.hpp"
@@ -62,42 +61,6 @@ TEST(Sha256, IncrementalMatchesOneShot) {
     }
     EXPECT_EQ(hasher.finish(), sha256(input)) << "chunk=" << chunk;
   }
-}
-
-// --- HMAC-SHA256: RFC 4231 test vectors -------------------------------------
-
-TEST(Hmac, Rfc4231Case1) {
-  const std::string key(20, '\x0b');
-  const auto mac = hmac_sha256(key, "Hi There");
-  EXPECT_EQ(util::to_hex(mac.data(), mac.size()),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
-}
-
-TEST(Hmac, Rfc4231Case2) {
-  const auto mac = hmac_sha256("Jefe", "what do ya want for nothing?");
-  EXPECT_EQ(util::to_hex(mac.data(), mac.size()),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
-}
-
-TEST(Hmac, Rfc4231Case3) {
-  const std::string key(20, '\xaa');
-  const std::string msg(50, '\xdd');
-  const auto mac = hmac_sha256(key, msg);
-  EXPECT_EQ(util::to_hex(mac.data(), mac.size()),
-            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe");
-}
-
-TEST(Hmac, LongKeyIsHashedFirst) {
-  // RFC 4231 case 6: 131-byte key.
-  const std::string key(131, '\xaa');
-  const auto mac = hmac_sha256(key, "Test Using Larger Than Block-Size Key - Hash Key First");
-  EXPECT_EQ(util::to_hex(mac.data(), mac.size()),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
-}
-
-TEST(Hmac, KeySensitivity) {
-  EXPECT_NE(hmac_sha256("key1", "msg"), hmac_sha256("key2", "msg"));
-  EXPECT_NE(hmac_sha256("key", "msg1"), hmac_sha256("key", "msg2"));
 }
 
 // --- U256 --------------------------------------------------------------------

@@ -3,7 +3,9 @@
 // VRPs), dirty-set invalidation, snapshot delta application — and the
 // subsystem's correctness gate: on every tick of a randomized churn
 // sequence the delta-applied snapshot must render byte-identically to a
-// from-scratch full rebuild across all /v1/* endpoints.
+// from-scratch full rebuild across all /v1/* endpoints. Delta and oracle
+// share one measurement kernel, so the independent check of that kernel
+// is the batch MeasurementPipeline: same world, same Dataset.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "core/pipeline.hpp"
 #include "delta/churn.hpp"
 #include "delta/pipeline.hpp"
 #include "serve/snapshot.hpp"
@@ -339,6 +342,102 @@ TEST_F(DeltaPipelineTest, HeavyChurnCompactsAndStaysIdentical) {
   }
   EXPECT_TRUE(compacted);
   EXPECT_GT(pipeline.compactions(), 0u);
+}
+
+// --- batch == delta: the kernel against the independent batch sweep --------
+
+/// Enough AS_SET announcements that some measured addresses sit under
+/// one, so the AS_SET exclusion counter is exercised at this size.
+web::EcosystemConfig as_set_config() {
+  web::EcosystemConfig config = small_config();
+  config.seed = 3;
+  config.domain_count = 2'000;
+  config.as_set_fraction = 0.05;
+  return config;
+}
+
+class BatchDeltaIdentity : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    eco_ = web::Ecosystem::generate(as_set_config()).release();
+    core::MeasurementPipeline batch(*eco_, core::PipelineConfig{});
+    batch_ = new core::Dataset(batch.run());
+  }
+  static void TearDownTestSuite() {
+    delete batch_;
+    delete eco_;
+    batch_ = nullptr;
+    eco_ = nullptr;
+  }
+
+  /// Every row active, so the delta world is the batch world.
+  static DeltaConfig all_active() {
+    DeltaConfig config;
+    config.churn.initial_inactive_fraction = 0.0;
+    return config;
+  }
+
+  static web::Ecosystem* eco_;
+  static core::Dataset* batch_;
+};
+
+web::Ecosystem* BatchDeltaIdentity::eco_ = nullptr;
+core::Dataset* BatchDeltaIdentity::batch_ = nullptr;
+
+TEST_F(BatchDeltaIdentity, InitDatasetEqualsSerialBatchRun) {
+  IncrementalPipeline pipeline(*eco_, all_active());
+  pipeline.init();
+  EXPECT_GT(batch_->counters.as_set_entries_excluded, 0u);
+  EXPECT_TRUE(pipeline.dataset() == *batch_);
+}
+
+TEST_F(BatchDeltaIdentity, InitDatasetEqualsFourThreadBatchRun) {
+  core::PipelineConfig config;
+  config.threads = 4;
+  core::MeasurementPipeline batch(*eco_, config);
+  const core::Dataset pooled = batch.run();
+  IncrementalPipeline pipeline(*eco_, all_active());
+  pipeline.init();
+  EXPECT_TRUE(pipeline.dataset() == pooled);
+}
+
+TEST_F(BatchDeltaIdentity, WithdrawReannounceRoundTripRestoresEveryCounter) {
+  IncrementalPipeline pipeline(*eco_, all_active());
+  pipeline.init();
+
+  Tick withdraw;
+  withdraw.number = 1;
+  eco_->rib().visit([&](const net::Prefix& prefix,
+                        const std::vector<bgp::RibEntry>& entries) {
+    for (const bgp::RibEntry& entry : entries) {
+      if (entry.as_path.contains_as_set()) {
+        withdraw.prefix_withdraws.push_back(prefix);
+        return;
+      }
+    }
+  });
+  ASSERT_FALSE(withdraw.prefix_withdraws.empty());
+  const TickStats out = pipeline.apply_tick(withdraw);
+  EXPECT_EQ(out.rib_withdrawn, withdraw.prefix_withdraws.size());
+  EXPECT_LT(pipeline.dataset().counters.as_set_entries_excluded,
+            batch_->counters.as_set_entries_excluded);
+  EXPECT_TRUE(pipeline.check_against(*pipeline.full_rebuild()).identical);
+
+  Tick announce;
+  announce.number = 2;
+  announce.prefix_announces = withdraw.prefix_withdraws;
+  const TickStats back = pipeline.apply_tick(announce);
+  EXPECT_EQ(back.rib_announced, withdraw.prefix_withdraws.size());
+
+  EXPECT_TRUE(pipeline.dataset().domains == batch_->domains);
+  // Every counter matches the batch run except dns_queries, which keeps
+  // counting the re-sweeps' queries by design.
+  core::PipelineCounters counters = pipeline.dataset().counters;
+  EXPECT_GT(counters.dns_queries, batch_->counters.dns_queries);
+  counters.dns_queries = batch_->counters.dns_queries;
+  EXPECT_EQ(counters.as_set_entries_excluded,
+            batch_->counters.as_set_entries_excluded);
+  EXPECT_EQ(counters, batch_->counters);
 }
 
 }  // namespace

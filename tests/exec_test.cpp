@@ -1,7 +1,7 @@
 // The execution substrate and the parallel measurement sweep: thread-pool
-// lifecycle and work stealing, parallel_for_shards edge cases, hot-path
-// cache correctness, and the determinism contract — a sharded parallel
-// run must produce the very same dataset as the serial one.
+// lifecycle and work stealing, parallel_for_shards edge cases, and the
+// determinism contract — a sharded parallel run must produce the very
+// same dataset as the serial one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,11 +12,9 @@
 #include <thread>
 #include <vector>
 
-#include "bgp/covering_cache.hpp"
 #include "core/pipeline.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/metrics.hpp"
-#include "rpki/validation_cache.hpp"
 
 namespace ripki {
 namespace {
@@ -191,57 +189,6 @@ TEST(ParallelForShardsTest, ShardsAreContiguousAndCoverEveryIndexOnce) {
   EXPECT_EQ(expected_begin, kItems);
 }
 
-// --- hot-path caches ---------------------------------------------------------
-
-TEST(HotPathCacheTest, CoveringCacheMatchesRibAndCountsTraffic) {
-  bgp::Rib rib;
-  bgp::RibEntry entry;
-  entry.prefix = net::Prefix::parse("10.0.0.0/8").value();
-  entry.as_path = bgp::AsPath::sequence({65010, 65001});
-  rib.add(entry);
-  entry.prefix = net::Prefix::parse("10.1.0.0/16").value();
-  rib.add(entry);
-
-  bgp::CoveringCache cache(&rib);
-  const auto addr = net::IpAddress::parse("10.1.2.3").value();
-  const auto& first = cache.covering(addr);
-  EXPECT_EQ(first.size(), rib.covering(addr).size());
-  ASSERT_EQ(first.size(), 2u);
-  const auto& again = cache.covering(addr);
-  EXPECT_EQ(&first, &again);  // memoized: same stored vector
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.size(), 1u);
-
-  // A different address misses independently.
-  const auto other = net::IpAddress::parse("192.168.0.1").value();
-  EXPECT_TRUE(cache.covering(other).empty());
-  EXPECT_EQ(cache.misses(), 2u);
-}
-
-TEST(HotPathCacheTest, ValidationCacheMatchesIndex) {
-  rpki::VrpSet vrps;
-  vrps.push_back({net::Prefix::parse("10.0.0.0/8").value(), 16, net::Asn(65001)});
-  const rpki::VrpIndex index(vrps);
-  rpki::ValidationCache cache(&index);
-
-  const auto route = net::Prefix::parse("10.0.0.0/16").value();
-  const auto more_specific = net::Prefix::parse("10.0.0.0/24").value();
-  EXPECT_EQ(cache.validate(route, net::Asn(65001)),
-            index.validate(route, net::Asn(65001)));
-  EXPECT_EQ(cache.validate(route, net::Asn(65002)),
-            index.validate(route, net::Asn(65002)));
-  EXPECT_EQ(cache.validate(more_specific, net::Asn(65001)),
-            index.validate(more_specific, net::Asn(65001)));
-  EXPECT_EQ(cache.misses(), 3u);
-  EXPECT_EQ(cache.hits(), 0u);
-
-  // Same (prefix, origin) again: hit, same verdict.
-  EXPECT_EQ(cache.validate(route, net::Asn(65001)), rpki::OriginValidity::kValid);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.size(), 3u);
-}
-
 // --- parallel pipeline determinism -------------------------------------------
 
 web::EcosystemConfig small_config() {
@@ -323,36 +270,18 @@ TEST_F(ParallelPipelineTest, ParallelRunPublishesSweepMetrics) {
   const core::Dataset dataset = run_with_threads(4, &registry);
   expect_equal_to_serial(dataset);
 
-  // The caches must see real traffic on a 3k-domain sweep...
-  const auto covering_hits =
-      registry.counter("ripki.bgp.covering_cache_hits").value();
-  const auto covering_misses =
-      registry.counter("ripki.bgp.covering_cache_misses").value();
-  const auto validation_hits =
-      registry.counter("ripki.rpki.validation_cache_hits").value();
-  EXPECT_GT(covering_hits, 0u);
-  EXPECT_GT(covering_misses, 0u);
-  EXPECT_GT(validation_hits, 0u);
-  // ...and the pool must actually have run shard tasks.
+  // The pool must actually have run shard tasks.
   EXPECT_GT(registry.counter("ripki.exec.tasks_executed").value(), 0u);
   EXPECT_EQ(registry.gauge("ripki.exec.threads").value(),
             static_cast<double>(clamped(4)));
-  const auto hit_rate =
-      registry.gauge("ripki.exec.covering_cache_hit_rate_pct").value();
-  EXPECT_GE(hit_rate, 0);
-  EXPECT_LE(hit_rate, 100);
 }
 
-TEST_F(ParallelPipelineTest, SerialRunAlsoExercisesCaches) {
+TEST_F(ParallelPipelineTest, SerialRunPublishesZeroThreadsGauge) {
   obs::Registry registry;
   core::PipelineConfig config;
   config.registry = &registry;
   core::MeasurementPipeline pipeline(*eco_, config);
-  const core::Dataset dataset = pipeline.run();
-  expect_equal_to_serial(dataset);
-  const auto& caches = pipeline.cache_stats();
-  EXPECT_GT(caches.covering_hits + caches.covering_misses, 0u);
-  EXPECT_GT(caches.validation_hits + caches.validation_misses, 0u);
+  expect_equal_to_serial(pipeline.run());
   EXPECT_EQ(registry.gauge("ripki.exec.threads").value(), 0);
 }
 
@@ -366,45 +295,6 @@ TEST_F(ParallelPipelineTest, MaxDomainsRespectedInParallel) {
   for (std::size_t i = 0; i < 17; ++i) {
     EXPECT_EQ(dataset.domains[i], serial_->domains[i]);
   }
-}
-
-TEST_F(ParallelPipelineTest, PerWorkerCacheStatsSumToAggregate) {
-  core::PipelineConfig config;
-  config.threads = 4;
-  core::MeasurementPipeline pipeline(*eco_, config);
-  expect_equal_to_serial(pipeline.run());
-
-  const auto& caches = pipeline.cache_stats();
-  ASSERT_EQ(caches.workers.size(), clamped(4));
-  std::uint64_t covering_hits = 0, covering_misses = 0;
-  std::uint64_t validation_hits = 0, validation_misses = 0;
-  for (const auto& worker : caches.workers) {
-    covering_hits += worker.covering_hits;
-    covering_misses += worker.covering_misses;
-    validation_hits += worker.validation_hits;
-    validation_misses += worker.validation_misses;
-    EXPECT_GE(worker.covering_hit_rate(), 0.0);
-    EXPECT_LE(worker.covering_hit_rate(), 1.0);
-  }
-  EXPECT_EQ(covering_hits, caches.covering_hits);
-  EXPECT_EQ(covering_misses, caches.covering_misses);
-  EXPECT_EQ(validation_hits, caches.validation_hits);
-  EXPECT_EQ(validation_misses, caches.validation_misses);
-  // A 3k-domain sweep split across the workers leaves none idle.
-  for (const auto& worker : caches.workers) {
-    EXPECT_GT(worker.covering_hits + worker.covering_misses, 0u);
-  }
-}
-
-TEST_F(ParallelPipelineTest, SerialRunReportsOneCacheStatsWorker) {
-  core::PipelineConfig config;
-  config.max_domains = 50;
-  core::MeasurementPipeline pipeline(*eco_, config);
-  pipeline.run();
-  const auto& caches = pipeline.cache_stats();
-  ASSERT_EQ(caches.workers.size(), 1u);
-  EXPECT_EQ(caches.workers[0].covering_hits, caches.covering_hits);
-  EXPECT_EQ(caches.workers[0].validation_misses, caches.validation_misses);
 }
 
 TEST_F(ParallelPipelineTest, EveryRegisteredMetricCarriesHelpText) {
