@@ -43,7 +43,17 @@ downscaled N), and any identical_to_serial=false run fails like every
 other identity check. Its per-rung wall_ms rides through the normal
 stage comparison.
 
-Exit codes: 0 ok, 1 regression or identity failure, 2 usage/parse error.
+A baseline stage, RSS figure or QPS figure that the current run lacks is
+printed as MISSING and fails the check: a rung that stops running or is
+renamed must not drop out of the gate without a word. Only the top-level
+blocks the current report carries are in scope, since one baseline gates
+both the perf_pipeline_stages and the serve_loadgen output. The baseline's
+"metrics" block (registry counters and span histograms) is reference data
+and is not compared.
+
+Exit codes: 0 ok, 1 regression, missing figure or identity failure,
+2 usage/parse error.
+
 Stdlib only; runs in the CI bench-smoke job after the bench binary.
 """
 
@@ -203,11 +213,21 @@ def main():
               f"p999={open_loop.get('p999_us', 0) / 1000.0:.1f} ms "
               f"(informational: saturation rung, not baseline-gated)")
 
-    base_stages = stage_times(baseline)
+    # One baseline gates several bench outputs; only the blocks this run
+    # produced can be missing from it.
+    scoped = {key: value for key, value in baseline.items() if key in current}
+    missing = []
+
+    def report_missing(name):
+        print(f"{name:44s} MISSING from the current run")
+        missing.append(name)
+
+    base_stages = stage_times(scoped)
     cur_stages = stage_times(current)
     regressions = []
     for name in sorted(base_stages):
         if name not in cur_stages:
+            report_missing(name)
             continue
         base_ms, cur_ms = base_stages[name], cur_stages[name]
         delta_pct = (cur_ms - base_ms) / base_ms * 100.0 if base_ms > 0 else 0.0
@@ -219,10 +239,11 @@ def main():
         if regressed:
             regressions.append(name)
 
-    base_rss = rss_figures(baseline)
+    base_rss = rss_figures(scoped)
     cur_rss = rss_figures(current)
     for name in sorted(base_rss):
         if name not in cur_rss:
+            report_missing(name)
             continue
         base_bytes, cur_bytes = base_rss[name], cur_rss[name]
         delta_pct = ((cur_bytes - base_bytes) / base_bytes * 100.0
@@ -235,10 +256,11 @@ def main():
         if regressed:
             regressions.append(name)
 
-    base_rates = throughputs(baseline)
+    base_rates = throughputs(scoped)
     cur_rates = throughputs(current)
     for name in sorted(base_rates):
         if name not in cur_rates:
+            report_missing(name)
             continue
         base_qps, cur_qps = base_rates[name], cur_rates[name]
         delta_pct = ((cur_qps - base_qps) / base_qps * 100.0
@@ -253,12 +275,15 @@ def main():
     if regressions:
         print(f"\n{len(regressions)} stage(s) regressed more than "
               f"{args.threshold:.0f}% over baseline: {', '.join(regressions)}")
+    if missing:
+        print(f"\n{len(missing)} baseline figure(s) missing from the current "
+              f"run: {', '.join(missing)}")
     if broken:
         print(f"\n{len(broken)} identity check(s) failed")
     if sched_broken:
         print(f"\n{len(sched_broken)} scheduler rung(s) exceeded the "
               f"{SCHED_OVERHEAD_PCT:.0f}% telemetry overhead budget")
-    return 1 if regressions or broken or sched_broken else 0
+    return 1 if regressions or missing or broken or sched_broken else 0
 
 
 if __name__ == "__main__":

@@ -3,24 +3,14 @@
 #include <sstream>
 
 #include "obs/telemetry.hpp"
+#include "util/strings.hpp"
 #include "util/table.hpp"
 
 namespace ripki::core {
 
 namespace {
 
-std::string csv_escape(std::string_view field) {
-  if (field.find_first_of(",\"\n") == std::string_view::npos) {
-    return std::string(field);
-  }
-  std::string out = "\"";
-  for (char c : field) {
-    if (c == '"') out += "\"\"";
-    else out.push_back(c);
-  }
-  out.push_back('"');
-  return out;
-}
+using util::csv_escape;
 
 std::string fmt(double v) {
   char buf[32];

@@ -32,13 +32,8 @@ void count_row(PipelineCounters& counters, const RowResult& row, int sign) {
 
 MeasureKernel::MeasureKernel(const dns::AuthoritativeServer* server,
                              const bgp::Rib* rib, const rpki::VrpIndex* vrps,
-                             obs::Registry* registry,
-                             obs::SchedTelemetry* sched)
-    : resolver_(server),
-      rib_(rib),
-      vrps_(vrps),
-      registry_(registry),
-      sched_(sched) {
+                             obs::Registry* registry)
+    : resolver_(server), rib_(rib), vrps_(vrps), registry_(registry) {
   resolver_.attach(registry);
 }
 
@@ -52,7 +47,7 @@ const RowResult& MeasureKernel::measure(const dns::DnsName& apex) {
   // DNSSEC adoption probe (future-work comparison): does the zone apex
   // publish a DNSKEY?
   row_.dnssec_signed = false;
-  obs::StageScope probe_stage(sched_, obs::SweepStage::kDns);
+  obs::Span probe_stage(obs::SweepStage::kDns);
   if (auto dnskey = resolver_.query(apex, dns::RecordType::kDnskey);
       dnskey.ok()) {
     for (const auto& rr : dnskey.value().answers) {
@@ -70,10 +65,8 @@ void MeasureKernel::measure_variant(const dns::DnsName& name,
   out.reset();
 
   // Step 2: resolve A/AAAA with CNAME chasing.
-  obs::Span dns_span(registry_, "stage2.dns");
-  obs::StageScope dns_stage(sched_, obs::SweepStage::kDns);
+  obs::Span dns_span(registry_, "stage2.dns", obs::SweepStage::kDns);
   auto resolution = resolver_.resolve_all(name);
-  dns_stage.stop();
   dns_span.stop();
   if (!resolution.ok()) return;  // treated as unresolvable
   const dns::Resolution& res = resolution.value();
@@ -100,8 +93,8 @@ void MeasureKernel::measure_variant(const dns::DnsName& name,
       static_cast<std::uint16_t>(std::min<std::size_t>(count, UINT16_MAX));
 
   // Step 3: all covering prefixes and their origin ASes.
-  obs::Span lookup_span(registry_, "stage3.prefix_origin");
-  obs::StageScope lookup_stage(sched_, obs::SweepStage::kCovering);
+  obs::Span lookup_span(registry_, "stage3.prefix_origin",
+                        obs::SweepStage::kCovering);
   for (std::size_t i = first; i < kept.size(); ++i) {
     const auto covering = rib_->covering(kept[i]);
     if (covering.empty()) {
@@ -122,12 +115,11 @@ void MeasureKernel::measure_variant(const dns::DnsName& name,
   }
   // A domain with several addresses in one prefix yields the pair once.
   dedupe_pairs(out.pairs);
-  lookup_stage.stop();
   lookup_span.stop();
 
   // Step 4: RFC 6811 origin validation of each unique pair.
-  obs::Span validate_span(registry_, "stage4.origin_validation");
-  obs::StageScope validate_stage(sched_, obs::SweepStage::kValidation);
+  obs::Span validate_span(registry_, "stage4.origin_validation",
+                          obs::SweepStage::kValidation);
   for (auto& pair : out.pairs) {
     pair.validity = vrps_->validate(pair.prefix, pair.origin);
   }

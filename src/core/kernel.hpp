@@ -26,7 +26,6 @@
 
 namespace ripki::obs {
 class Registry;
-class SchedTelemetry;
 }
 
 namespace ripki::core {
@@ -53,11 +52,11 @@ class MeasureKernel {
  public:
   /// Everything is borrowed and must outlive the kernel. The RIB and the
   /// VRP index are only read, so kernels on several threads may share
-  /// them. `registry` (stage spans, resolver counters) and `sched` (sweep
-  /// stage attribution) are optional; null leaves them inert.
+  /// them. `registry` (stage spans, resolver counters) is optional; null
+  /// leaves it inert. The stage spans charge sweep-stage time to the
+  /// calling thread's bound SchedTelemetry lane, if any (obs/span.hpp).
   MeasureKernel(const dns::AuthoritativeServer* server, const bgp::Rib* rib,
-                const rpki::VrpIndex* vrps, obs::Registry* registry = nullptr,
-                obs::SchedTelemetry* sched = nullptr);
+                const rpki::VrpIndex* vrps, obs::Registry* registry = nullptr);
 
   /// Measures the domain `apex` (and www.<apex>). The result is kernel
   /// scratch: valid until the next measure() call.
@@ -73,7 +72,6 @@ class MeasureKernel {
   const bgp::Rib* rib_;
   const rpki::VrpIndex* vrps_;
   obs::Registry* registry_;
-  obs::SchedTelemetry* sched_;
   RowResult row_;
 };
 

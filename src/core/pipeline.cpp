@@ -177,7 +177,7 @@ void MeasurementPipeline::measure_domain(std::size_t index,
   auto apex = dns::DnsName::parse(name);
   assert(apex.ok());
   const RowResult& row = kernel.measure(apex.value());
-  obs::StageScope emit_stage(config_.sched, obs::SweepStage::kEmit);
+  obs::Span emit_stage(obs::SweepStage::kEmit);
   count_row(counters, row, +1);
   out.append(ecosystem_.plan(index).rank, name, row.excluded_dns,
              row.dnssec_signed, row.www, row.apex);
@@ -259,11 +259,10 @@ Dataset MeasurementPipeline::run() {
       {{"domains", count}, {"threads", effective_threads_}});
 
   if (effective_threads_ == 0) {
-    MeasureKernel kernel(&server, &rib_, &vrp_index_, config_.registry,
-                         config_.sched);
+    MeasureKernel kernel(&server, &rib_, &vrp_index_, config_.registry);
     obs::Span sweep_span(config_.registry, "sweep");
-    // Bind the calling thread to the external lane so the kernel's stage
-    // scopes attribute serial sweep time too.
+    // Bind the calling thread to the external lane so the kernel's
+    // stage-tagged spans attribute serial sweep time too.
     obs::LaneScope lane(config_.sched, config_.sched != nullptr
                                            ? config_.sched->external_lane()
                                            : 0);
@@ -279,8 +278,7 @@ Dataset MeasurementPipeline::run() {
     std::vector<MeasureKernel> kernels;
     kernels.reserve(pool->size());
     for (std::size_t i = 0; i < pool->size(); ++i) {
-      kernels.emplace_back(&server, &rib_, &vrp_index_, config_.registry,
-                           config_.sched);
+      kernels.emplace_back(&server, &rib_, &vrp_index_, config_.registry);
     }
     // Each shard appends into its own SoA fragment and counts into its
     // own counters; fragments merge in shard order below, replaying the

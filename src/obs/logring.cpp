@@ -2,16 +2,11 @@
 
 namespace ripki::obs {
 
-LogRing::LogRing(std::size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
+LogRing::LogRing(std::size_t capacity) : records_(capacity) {}
 
 void LogRing::append(const LogRecord& record) {
   std::lock_guard lock(mutex_);
-  if (records_.size() == capacity_) {
-    records_.pop_front();
-    ++dropped_;
-  }
-  records_.push_back(record);
-  ++total_;
+  records_.push(LogRecord(record));
   if (record.level == LogLevel::kError && dump_on_error_ != nullptr &&
       !error_dumped_) {
     error_dumped_ = true;
@@ -22,7 +17,7 @@ void LogRing::append(const LogRecord& record) {
 
 std::vector<LogRecord> LogRing::snapshot() const {
   std::lock_guard lock(mutex_);
-  return {records_.begin(), records_.end()};
+  return records_.snapshot();
 }
 
 std::size_t LogRing::size() const {
@@ -32,20 +27,20 @@ std::size_t LogRing::size() const {
 
 std::uint64_t LogRing::total() const {
   std::lock_guard lock(mutex_);
-  return total_;
+  return records_.total();
 }
 
 std::uint64_t LogRing::dropped() const {
   std::lock_guard lock(mutex_);
-  return dropped_;
+  return records_.dropped();
 }
 
 void LogRing::render_locked(std::ostream& os) const {
-  os << "# last " << records_.size() << " of " << total_ << " records ("
-     << dropped_ << " evicted)\n";
-  for (const auto& record : records_) {
+  os << "# last " << records_.size() << " of " << records_.total()
+     << " records (" << records_.dropped() << " evicted)\n";
+  records_.for_each([&os](const LogRecord& record) {
     os << Logger::format(record) << '\n';
-  }
+  });
 }
 
 void LogRing::render(std::ostream& os) const {
@@ -61,8 +56,6 @@ void LogRing::set_dump_on_error(std::ostream* os) {
 void LogRing::clear() {
   std::lock_guard lock(mutex_);
   records_.clear();
-  total_ = 0;
-  dropped_ = 0;
   error_dumped_ = false;
 }
 

@@ -10,12 +10,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <ostream>
 #include <vector>
 
 #include "obs/log.hpp"
+#include "obs/ring.hpp"
 
 namespace ripki::obs {
 
@@ -32,7 +32,7 @@ class LogRing {
   std::vector<LogRecord> snapshot() const;
 
   std::size_t size() const;
-  std::size_t capacity() const { return capacity_; }
+  std::size_t capacity() const { return records_.capacity(); }
   std::uint64_t total() const;    // records ever appended
   std::uint64_t dropped() const;  // records evicted by the ring bound
 
@@ -49,11 +49,8 @@ class LogRing {
  private:
   void render_locked(std::ostream& os) const;
 
-  const std::size_t capacity_;
   mutable std::mutex mutex_;
-  std::deque<LogRecord> records_;
-  std::uint64_t total_ = 0;
-  std::uint64_t dropped_ = 0;
+  Ring<LogRecord> records_;
   std::ostream* dump_on_error_ = nullptr;
   bool error_dumped_ = false;
 };

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "obs/metrics.hpp"
+#include "obs/ring.hpp"
 #include "obs/trace.hpp"
 
 namespace ripki::obs {
@@ -56,11 +57,10 @@ const char* sweep_stage_name(SweepStage stage) {
 /// Separately heap-allocated and cacheline-aligned so two lanes never
 /// share a line; the mutex is only ever contended by the exporter.
 struct alignas(64) SchedTelemetry::Lane {
+  explicit Lane(std::size_t capacity) : ring(capacity) {}
+
   mutable std::mutex mutex;
-  std::vector<Event> ring;  // ring[.. size), head = next write slot
-  std::size_t head = 0;
-  std::size_t size = 0;
-  std::uint64_t dropped = 0;
+  Ring<Event> ring;
 
   std::uint64_t tasks = 0;
   std::uint64_t own_pops = 0;
@@ -70,18 +70,6 @@ struct alignas(64) SchedTelemetry::Lane {
   std::uint64_t idle_ns = 0;
   std::array<std::uint64_t, kSweepStageCount> stage_ns{};
   std::uint64_t last_run_end_us = 0;
-
-  void push(Event event, std::size_t capacity) {
-    if (size < capacity) {
-      ring.push_back(event);
-      ++size;
-      head = size % capacity;
-      return;
-    }
-    ring[head] = event;
-    head = (head + 1) % capacity;
-    ++dropped;
-  }
 };
 
 SchedTelemetry::SchedTelemetry(Registry* registry)
@@ -118,9 +106,7 @@ void SchedTelemetry::begin_run(std::size_t workers) {
   lanes_.clear();
   lanes_.reserve(workers + 1);
   for (std::size_t i = 0; i < workers + 1; ++i) {
-    auto lane = std::make_unique<Lane>();
-    lane->ring.reserve(options_.ring_capacity);
-    lanes_.push_back(std::move(lane));
+    lanes_.push_back(std::make_unique<Lane>(options_.ring_capacity));
   }
   window_begin_us_.store(now_us(), std::memory_order_relaxed);
 }
@@ -150,15 +136,21 @@ void SchedTelemetry::detach_lane() {
 
 bool SchedTelemetry::attached() const { return t_owner == this; }
 
+SchedTelemetry* SchedTelemetry::bound() { return t_owner; }
+
 SchedTelemetry::Lane* SchedTelemetry::current_lane() const {
   return t_owner == this ? static_cast<Lane*>(t_lane) : nullptr;
 }
 
 std::uint64_t SchedTelemetry::now_us() const {
-  const auto now = std::chrono::steady_clock::now();
-  if (now < epoch_) return 0;
+  return us_at(std::chrono::steady_clock::now());
+}
+
+std::uint64_t SchedTelemetry::us_at(
+    std::chrono::steady_clock::time_point at) const {
+  if (at < epoch_) return 0;
   return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(now - epoch_)
+      std::chrono::duration_cast<std::chrono::microseconds>(at - epoch_)
           .count());
 }
 
@@ -180,10 +172,9 @@ void SchedTelemetry::on_steal(bool success, std::uint64_t begin_us,
     } else {
       ++lane->steal_fails;
     }
-    lane->push({begin_us, end_us,
-                success ? EventKind::kStealSuccess : EventKind::kStealFail,
-                SweepStage::kDns},
-               options_.ring_capacity);
+    lane->ring.push({begin_us, end_us,
+                     success ? EventKind::kStealSuccess : EventKind::kStealFail,
+                     SweepStage::kDns});
   }
   if (success && steal_latency_ != nullptr) {
     steal_latency_->observe(static_cast<double>(end_us - begin_us));
@@ -199,8 +190,7 @@ void SchedTelemetry::on_task_run(std::uint64_t begin_us,
     ++lane->tasks;
     lane->run_ns += (end_us - begin_us) * 1000;
     lane->last_run_end_us = end_us;
-    lane->push({begin_us, end_us, EventKind::kRun, SweepStage::kDns},
-               options_.ring_capacity);
+    lane->ring.push({begin_us, end_us, EventKind::kRun, SweepStage::kDns});
   }
   if (task_run_ != nullptr) {
     task_run_->observe(static_cast<double>(end_us - begin_us));
@@ -212,8 +202,7 @@ void SchedTelemetry::on_idle(std::uint64_t begin_us, std::uint64_t end_us) {
   if (lane == nullptr) return;
   std::lock_guard lock(lane->mutex);
   lane->idle_ns += (end_us - begin_us) * 1000;
-  lane->push({begin_us, end_us, EventKind::kIdle, SweepStage::kDns},
-             options_.ring_capacity);
+  lane->ring.push({begin_us, end_us, EventKind::kIdle, SweepStage::kDns});
 }
 
 void SchedTelemetry::on_stage(SweepStage stage, std::uint64_t begin_us,
@@ -223,8 +212,7 @@ void SchedTelemetry::on_stage(SweepStage stage, std::uint64_t begin_us,
   std::lock_guard lock(lane->mutex);
   lane->stage_ns[static_cast<std::size_t>(stage)] +=
       (end_us - begin_us) * 1000;
-  lane->push({begin_us, end_us, EventKind::kStage, stage},
-             options_.ring_capacity);
+  lane->ring.push({begin_us, end_us, EventKind::kStage, stage});
 }
 
 void SchedTelemetry::start_queue_sampler(
@@ -290,16 +278,8 @@ SchedTelemetry::Snapshot SchedTelemetry::snapshot() const {
     snap.idle_ns = lane.idle_ns;
     snap.stage_ns = lane.stage_ns;
     snap.last_run_end_us = lane.last_run_end_us;
-    snap.events_dropped = lane.dropped;
-    snap.events.reserve(lane.size);
-    if (lane.size < options_.ring_capacity) {
-      snap.events = lane.ring;
-    } else {
-      for (std::size_t j = 0; j < lane.size; ++j) {
-        snap.events.push_back(
-            lane.ring[(lane.head + j) % options_.ring_capacity]);
-      }
-    }
+    snap.events_dropped = lane.ring.dropped();
+    snap.events = lane.ring.snapshot();
     out.lanes.push_back(std::move(snap));
   }
   return out;
@@ -396,8 +376,7 @@ std::string SchedTelemetry::render_json() const {
   return os.str();
 }
 
-void SchedTelemetry::write_trace_events(std::ostream& os, bool& first,
-                                        std::int64_t offset_us) const {
+void SchedTelemetry::write_trace_events(std::ostream& os, bool& first) const {
   const Snapshot snap = snapshot();
   const auto comma = [&] {
     if (!first) os << ',';
@@ -416,8 +395,7 @@ void SchedTelemetry::write_trace_events(std::ostream& os, bool& first,
                              ? sweep_stage_name(event.stage)
                              : event_kind_name(event.kind);
       os << "{\"name\":\"" << name << "\",\"cat\":\"sched\",\"ph\":\"X\","
-         << "\"ts\":"
-         << static_cast<std::int64_t>(event.begin_us) + offset_us
+         << "\"ts\":" << event.begin_us
          << ",\"dur\":" << (event.end_us - event.begin_us)
          << ",\"pid\":2,\"tid\":" << lane.lane << '}';
     }
@@ -429,7 +407,7 @@ void SchedTelemetry::export_chrome_trace(std::ostream& os) const {
         "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"tid\":0,"
         "\"args\":{\"name\":\"ripki-sched\"}}";
   bool first = false;
-  write_trace_events(os, first, 0);
+  write_trace_events(os, first);
   os << "]}\n";
 }
 
@@ -443,11 +421,6 @@ void export_combined_trace(const EventTracer* tracer,
                            const SchedTelemetry* sched, std::ostream& os) {
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
-  const auto comma = [&] {
-    if (!first) os << ',';
-    first = false;
-  };
-
   if (tracer != nullptr) {
     // Shift tracer timestamps onto the scheduler's epoch so both
     // timelines share one axis (Perfetto aligns on raw ts values).
@@ -457,34 +430,15 @@ void export_combined_trace(const EventTracer* tracer,
                       tracer->epoch() - sched->epoch())
                       .count();
     }
-    const auto events = balance_events(tracer->snapshot());
-    std::uint32_t max_tid = 0;
-    for (const auto& event : events) max_tid = std::max(max_tid, event.tid);
-    comma();
-    os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
-          "\"args\":{\"name\":\"ripki\"}}";
-    if (!events.empty()) {
-      for (std::uint32_t tid = 0; tid <= max_tid; ++tid) {
-        comma();
-        os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":"
-           << tid << ",\"args\":{\"name\":\"track-" << tid << "\"}}";
-      }
-    }
-    for (const auto& event : events) {
-      comma();
-      os << "{\"name\":\"" << trace_json_escape(event.name)
-         << "\",\"cat\":\"ripki\",\"ph\":\""
-         << (event.phase == TraceEvent::Phase::kBegin ? 'B' : 'E')
-         << "\",\"ts\":" << static_cast<std::int64_t>(event.ts_us) + offset_us
-         << ",\"pid\":1,\"tid\":" << event.tid << '}';
-    }
+    tracer->write_trace_events(os, first, offset_us);
   }
 
   if (sched != nullptr) {
-    comma();
+    if (!first) os << ',';
+    first = false;
     os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"tid\":0,"
           "\"args\":{\"name\":\"ripki-sched\"}}";
-    sched->write_trace_events(os, first, 0);
+    sched->write_trace_events(os, first);
   }
   os << "]}\n";
 }

@@ -17,13 +17,14 @@
 //    touches a shared cacheline. The per-lane mutex is uncontended in
 //    steady state — the exporter is the only other party that ever takes
 //    it.
-//  - Each lane holds a bounded interval ring (task-run, steal-success /
+//  - Each lane holds an obs::Ring of intervals (task-run, steal-success /
 //    steal-fail scans, idle-park, stage-attributed compute). When the
 //    ring wraps the oldest interval is overwritten and counted, so a
 //    long sweep always retains its most recent window.
 //  - Stage attribution accumulates elapsed nanoseconds per SweepStage in
-//    the lane; obs::StageScope is the RAII recorder the pipeline drops
-//    next to its existing trace spans (two clock reads per scope).
+//    the lane. The recorder is a stage-tagged obs::Span: the same scope
+//    that feeds the trace histogram charges the calling thread's bound
+//    lane, from the two clock reads the span makes anyway.
 //  - Queue depths are sampled by a telemetry-owned thread into an
 //    obs::TimeSeriesRing (one gauge series per worker queue), decoupled
 //    from the pool via a depth-source callback so `obs` never depends on
@@ -132,10 +133,14 @@ class SchedTelemetry {
   void detach_lane();
   /// Whether the calling thread holds a lane of *this* telemetry.
   bool attached() const;
+  /// The telemetry whose lane the calling thread holds, or nullptr.
+  static SchedTelemetry* bound();
 
   /// Microseconds since the telemetry epoch (construction time; stable
   /// across begin_run so traces from successive runs stay monotonic).
   std::uint64_t now_us() const;
+  /// `at` as microseconds since the telemetry epoch (0 before it).
+  std::uint64_t us_at(std::chrono::steady_clock::time_point at) const;
   std::chrono::steady_clock::time_point epoch() const { return epoch_; }
 
   // --- hot-path recorders (no-ops when the thread has no lane) ---------
@@ -150,7 +155,8 @@ class SchedTelemetry {
   void on_task_run(std::uint64_t begin_us, std::uint64_t end_us);
   /// One condvar park (wait entry to wake).
   void on_idle(std::uint64_t begin_us, std::uint64_t end_us);
-  /// One stage-attributed compute slice (normally via StageScope).
+  /// One stage-attributed compute slice (normally from a stage-tagged
+  /// obs::Span).
   void on_stage(SweepStage stage, std::uint64_t begin_us,
                 std::uint64_t end_us);
 
@@ -236,8 +242,7 @@ class SchedTelemetry {
   struct Lane;
 
   Lane* current_lane() const;
-  void write_trace_events(std::ostream& os, bool& first,
-                          std::int64_t offset_us) const;
+  void write_trace_events(std::ostream& os, bool& first) const;
   friend void export_combined_trace(const EventTracer* tracer,
                                     const SchedTelemetry* sched,
                                     std::ostream& os);
@@ -257,34 +262,6 @@ class SchedTelemetry {
   Histogram* steal_latency_ = nullptr;  // ripki.exec.steal_latency_us
   Histogram* task_run_ = nullptr;       // ripki.exec.task_run_us
   Gauge* queue_depth_gauge_ = nullptr;  // ripki.exec.queue_depth (total)
-};
-
-/// RAII stage attribution: charges the scope's wall time to `stage` on
-/// the calling thread's lane. Inert when `sched` is null or the thread
-/// has no lane (two branches, no clock read).
-class StageScope {
- public:
-  StageScope(SchedTelemetry* sched, SweepStage stage)
-      : sched_(sched != nullptr && sched->attached() ? sched : nullptr),
-        stage_(stage) {
-    if (sched_ != nullptr) begin_us_ = sched_->now_us();
-  }
-  ~StageScope() { stop(); }
-
-  StageScope(const StageScope&) = delete;
-  StageScope& operator=(const StageScope&) = delete;
-
-  /// Records now instead of at scope exit; idempotent.
-  void stop() {
-    if (sched_ == nullptr) return;
-    sched_->on_stage(stage_, begin_us_, sched_->now_us());
-    sched_ = nullptr;
-  }
-
- private:
-  SchedTelemetry* sched_;
-  SweepStage stage_;
-  std::uint64_t begin_us_ = 0;
 };
 
 /// Binds the calling thread to a telemetry lane for the scope's lifetime

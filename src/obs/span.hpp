@@ -13,6 +13,12 @@
 // When the registry carries an EventTracer (Registry::set_tracer), spans
 // additionally emit begin/end events into its timeline ring; without one,
 // the only extra cost is a relaxed pointer load per span.
+//
+// A span tagged with a SweepStage also charges its wall time to that
+// stage on the calling thread's bound SchedTelemetry lane (see
+// sched.hpp), from the same two clock reads. The lane is charged even
+// with a null registry; a tagged span on a thread with no bound lane and
+// no registry is as inert as an untagged one.
 #pragma once
 
 #include <chrono>
@@ -25,12 +31,20 @@
 
 namespace ripki::obs {
 
+class SchedTelemetry;
+enum class SweepStage : std::uint8_t;  // defined in obs/sched.hpp
+
 /// Metric-name prefix for span duration histograms.
 inline constexpr std::string_view kTracePrefix = "ripki.trace.";
 
 class Span {
  public:
   Span(Registry* registry, std::string_view name);
+  /// As above, and charges the scope to `stage` on the calling thread's
+  /// bound scheduler lane.
+  Span(Registry* registry, std::string_view name, SweepStage stage);
+  /// A stage slice with no histogram, trace event or request record.
+  explicit Span(SweepStage stage) : Span(nullptr, {}, stage) {}
   ~Span() { stop(); }
 
   Span(const Span&) = delete;
@@ -39,6 +53,7 @@ class Span {
   /// Records the duration now instead of at scope exit; idempotent.
   void stop();
 
+  /// Whether the span records a histogram and has not stopped yet.
   bool active() const { return registry_ != nullptr && !stopped_; }
   std::uint64_t elapsed_ns() const;
   /// Dotted path including every ancestor ("" for an inert span).
@@ -48,11 +63,16 @@ class Span {
   static const Span* current();
 
  private:
+  Span(Registry* registry, std::string_view name, SchedTelemetry* sched,
+       SweepStage stage);
+
   Registry* registry_ = nullptr;
   EventTracer* tracer_ = nullptr;  // registry's tracer, cached at open
+  SchedTelemetry* sched_ = nullptr;  // bound lane's owner, for tagged spans
   Span* parent_ = nullptr;
   std::string path_;
   std::chrono::steady_clock::time_point start_{};
+  SweepStage stage_{};
   bool stopped_ = true;
   bool traced_ = false;  // begin event recorded (not sampled out)
 };

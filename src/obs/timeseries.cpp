@@ -17,26 +17,22 @@ std::string fmt_number(double v) {
 
 }  // namespace
 
-TimeSeriesRing::TimeSeriesRing(std::size_t capacity)
-    : capacity_(std::max<std::size_t>(1, capacity)) {}
+TimeSeriesRing::TimeSeriesRing(std::size_t capacity) : intervals_(capacity) {}
 
 void TimeSeriesRing::record(std::vector<MetricSnapshot> collected,
                             double seconds) {
   std::lock_guard lock(mutex_);
   Interval interval;
-  interval.seq = ++ticks_;
+  interval.seq = intervals_.total() + 1;
   interval.seconds = std::max(seconds, 1e-9);
   interval.deltas = delta_snapshots(previous_, collected);
   previous_ = std::move(collected);
-  if (intervals_.size() >= capacity_) {
-    intervals_.erase(intervals_.begin());
-  }
-  intervals_.push_back(std::move(interval));
+  intervals_.push(std::move(interval));
 }
 
 std::vector<TimeSeriesRing::Interval> TimeSeriesRing::history() const {
   std::lock_guard lock(mutex_);
-  return intervals_;
+  return intervals_.snapshot();
 }
 
 std::size_t TimeSeriesRing::size() const {
@@ -46,7 +42,7 @@ std::size_t TimeSeriesRing::size() const {
 
 std::uint64_t TimeSeriesRing::ticks() const {
   std::lock_guard lock(mutex_);
-  return ticks_;
+  return intervals_.total();
 }
 
 std::string TimeSeriesRing::render_json() const {

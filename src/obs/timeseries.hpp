@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/ring.hpp"
 
 namespace ripki::obs {
 
@@ -44,7 +45,7 @@ class TimeSeriesRing {
   std::vector<Interval> history() const;
 
   std::size_t size() const;
-  std::size_t capacity() const { return capacity_; }
+  std::size_t capacity() const { return intervals_.capacity(); }
   std::uint64_t ticks() const;  // record() calls ever made
 
   /// {"varz": {"ticks":.., "intervals":[{"seq":..,"seconds":..}, ..],
@@ -57,11 +58,9 @@ class TimeSeriesRing {
   std::string render_json() const;
 
  private:
-  const std::size_t capacity_;
   mutable std::mutex mutex_;
   std::vector<MetricSnapshot> previous_;
-  std::vector<Interval> intervals_;  // oldest first
-  std::uint64_t ticks_ = 0;
+  Ring<Interval> intervals_;
 };
 
 }  // namespace ripki::obs

@@ -1,41 +1,15 @@
 #include "obs/trace.hpp"
 
-#include <cstdio>
 #include <sstream>
+
+#include "util/strings.hpp"
 
 namespace ripki::obs {
 
-/// Span paths are plain dotted identifiers, but the exporter must stay
-/// valid JSON for any name a caller invents.
-std::string trace_json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 EventTracer::EventTracer(std::size_t capacity, std::uint32_t sample_every)
-    : capacity_(capacity == 0 ? 1 : capacity),
-      sample_every_(sample_every == 0 ? 1 : sample_every),
-      epoch_(std::chrono::steady_clock::now()) {
-  ring_.reserve(capacity_);
-}
+    : sample_every_(sample_every == 0 ? 1 : sample_every),
+      epoch_(std::chrono::steady_clock::now()),
+      ring_(capacity) {}
 
 std::uint64_t EventTracer::now_us(
     std::chrono::steady_clock::time_point at) const {
@@ -57,17 +31,7 @@ std::uint32_t EventTracer::track_id_locked() {
 void EventTracer::push(TraceEvent event) {
   std::lock_guard lock(mutex_);
   event.tid = track_id_locked();
-  ++recorded_;
-  if (size_ < capacity_) {
-    ring_.push_back(std::move(event));
-    ++size_;
-    head_ = size_ % capacity_;
-    return;
-  }
-  // Ring full: overwrite the oldest event and count it as dropped.
-  ring_[head_] = std::move(event);
-  head_ = (head_ + 1) % capacity_;
-  ++dropped_;
+  ring_.push(std::move(event));
 }
 
 bool EventTracer::begin(std::string_view name,
@@ -97,26 +61,17 @@ void EventTracer::end(std::string_view name,
 
 std::vector<TraceEvent> EventTracer::snapshot() const {
   std::lock_guard lock(mutex_);
-  std::vector<TraceEvent> out;
-  out.reserve(size_);
-  if (size_ < capacity_) {
-    out = ring_;
-    return out;
-  }
-  for (std::size_t i = 0; i < size_; ++i) {
-    out.push_back(ring_[(head_ + i) % capacity_]);
-  }
-  return out;
+  return ring_.snapshot();
 }
 
 std::uint64_t EventTracer::recorded() const {
   std::lock_guard lock(mutex_);
-  return recorded_;
+  return ring_.total();
 }
 
 std::uint64_t EventTracer::dropped() const {
   std::lock_guard lock(mutex_);
-  return dropped_;
+  return ring_.dropped();
 }
 
 std::uint64_t EventTracer::sampled_out() const {
@@ -126,10 +81,6 @@ std::uint64_t EventTracer::sampled_out() const {
 void EventTracer::clear() {
   std::lock_guard lock(mutex_);
   ring_.clear();
-  head_ = 0;
-  size_ = 0;
-  dropped_ = 0;
-  recorded_ = 0;
   sampled_out_.store(0, std::memory_order_relaxed);
 }
 
@@ -159,13 +110,11 @@ std::vector<TraceEvent> balance_events(const std::vector<TraceEvent>& events) {
   return out;
 }
 
-void EventTracer::export_chrome_trace(std::ostream& os) const {
+void EventTracer::write_trace_events(std::ostream& os, bool& first,
+                                     std::int64_t offset_us) const {
   const auto events = balance_events(snapshot());
   std::uint32_t max_tid = 0;
   for (const auto& event : events) max_tid = std::max(max_tid, event.tid);
-
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
   const auto comma = [&] {
     if (!first) os << ',';
     first = false;
@@ -182,12 +131,18 @@ void EventTracer::export_chrome_trace(std::ostream& os) const {
   }
   for (const auto& event : events) {
     comma();
-    os << "{\"name\":\"" << trace_json_escape(event.name)
-       << "\",\"cat\":\"ripki\","
-       << "\"ph\":\"" << (event.phase == TraceEvent::Phase::kBegin ? 'B' : 'E')
-       << "\",\"ts\":" << event.ts_us << ",\"pid\":1,\"tid\":" << event.tid
-       << '}';
+    os << "{\"name\":\"" << util::json_escape(event.name)
+       << "\",\"cat\":\"ripki\",\"ph\":\""
+       << (event.phase == TraceEvent::Phase::kBegin ? 'B' : 'E')
+       << "\",\"ts\":" << static_cast<std::int64_t>(event.ts_us) + offset_us
+       << ",\"pid\":1,\"tid\":" << event.tid << '}';
   }
+}
+
+void EventTracer::export_chrome_trace(std::ostream& os) const {
+  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  bool first = true;
+  write_trace_events(os, first, 0);
   os << "]}\n";
 }
 

@@ -26,7 +26,11 @@
 #include <thread>
 #include <vector>
 
+#include "obs/ring.hpp"
+
 namespace ripki::obs {
+
+class SchedTelemetry;
 
 struct TraceEvent {
   enum class Phase : std::uint8_t { kBegin, kEnd };
@@ -60,7 +64,7 @@ class EventTracer {
   std::uint64_t dropped() const;      // events overwritten by ring wrap
   std::uint64_t sampled_out() const;  // spans skipped by sampling
   std::uint32_t sample_every() const { return sample_every_; }
-  std::size_t capacity() const { return capacity_; }
+  std::size_t capacity() const { return ring_.capacity(); }
   /// The tracer's time zero (construction), for aligning its timestamps
   /// with other steady_clock-based sources (e.g. SchedTelemetry).
   std::chrono::steady_clock::time_point epoch() const { return epoch_; }
@@ -78,21 +82,25 @@ class EventTracer {
   std::string chrome_trace_json() const;
 
  private:
+  /// Writes the process/track metadata and the balanced span events,
+  /// each timestamp shifted by `offset_us`, as comma-separated
+  /// trace-event objects.
+  void write_trace_events(std::ostream& os, bool& first,
+                          std::int64_t offset_us) const;
+  friend void export_combined_trace(const EventTracer* tracer,
+                                    const SchedTelemetry* sched,
+                                    std::ostream& os);
+
   void push(TraceEvent event);
   std::uint32_t track_id_locked();
   std::uint64_t now_us(std::chrono::steady_clock::time_point at) const;
 
-  const std::size_t capacity_;
   const std::uint32_t sample_every_;
   const std::chrono::steady_clock::time_point epoch_;
 
   mutable std::mutex mutex_;
-  std::vector<TraceEvent> ring_;  // ring_[.. size_), head_ = next write slot
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
+  Ring<TraceEvent> ring_;
   std::map<std::thread::id, std::uint32_t> track_ids_;
-  std::uint64_t dropped_ = 0;
-  std::uint64_t recorded_ = 0;
   std::atomic<std::uint64_t> sequence_{0};     // sampling decision counter
   std::atomic<std::uint64_t> sampled_out_{0};
 };
@@ -101,8 +109,5 @@ class EventTracer {
 /// thread, an end without a live begin and a begin without an end are both
 /// removed. Exposed for the well-formedness tests.
 std::vector<TraceEvent> balance_events(const std::vector<TraceEvent>& events);
-
-/// JSON string escaping shared by the trace exporters.
-std::string trace_json_escape(std::string_view s);
 
 }  // namespace ripki::obs

@@ -4,32 +4,13 @@
 #include <sstream>
 #include <utility>
 
+#include "util/strings.hpp"
+
 namespace ripki::serve {
 
 namespace {
 
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
+using util::json_escape;
 
 /// Quotes a value for the key=value access-log text format when it is
 /// empty or contains spaces/quotes; bare otherwise.
@@ -52,24 +33,22 @@ std::string text_value(std::string_view value) {
 
 // --- AccessLog -------------------------------------------------------------
 
-AccessLog::AccessLog(std::size_t capacity)
-    : capacity_(std::max<std::size_t>(1, capacity)) {}
+AccessLog::AccessLog(std::size_t capacity) : ring_(capacity) {}
 
 void AccessLog::record(Entry entry) {
   std::lock_guard lock(mutex_);
-  entry.seq = ++total_;
-  ring_.push_back(std::move(entry));
-  if (ring_.size() > capacity_) ring_.pop_front();
+  entry.seq = ring_.total() + 1;
+  ring_.push(std::move(entry));
 }
 
 std::vector<AccessLog::Entry> AccessLog::entries() const {
   std::lock_guard lock(mutex_);
-  return {ring_.begin(), ring_.end()};
+  return ring_.snapshot();
 }
 
 std::uint64_t AccessLog::total() const {
   std::lock_guard lock(mutex_);
-  return total_;
+  return ring_.total();
 }
 
 std::string AccessLog::render_text() const {

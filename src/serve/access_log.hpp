@@ -12,7 +12,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <mutex>
 #include <string>
@@ -20,6 +19,7 @@
 #include <vector>
 
 #include "obs/request_context.hpp"
+#include "obs/ring.hpp"
 
 namespace ripki::serve {
 
@@ -49,16 +49,14 @@ class AccessLog {
   std::vector<Entry> entries() const;
   /// Lifetime count of recorded requests (>= entries().size()).
   std::uint64_t total() const;
-  std::size_t capacity() const { return capacity_; }
+  std::size_t capacity() const { return ring_.capacity(); }
 
   /// One `key=value` line per entry, oldest first — the /accessz body.
   std::string render_text() const;
 
  private:
   mutable std::mutex mutex_;
-  std::size_t capacity_;
-  std::uint64_t total_ = 0;
-  std::deque<Entry> ring_;
+  obs::Ring<Entry> ring_;
 };
 
 /// Keeps the `per_endpoint` slowest requests for every endpoint tag, with

@@ -7,34 +7,13 @@
 #include <utility>
 
 #include "core/reports.hpp"
+#include "util/strings.hpp"
 
 namespace ripki::serve {
 
 namespace {
 
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
+using util::json_escape;
 
 /// Fixed-precision fraction — one formatting for service, tests, and the
 /// load-generator oracle, so byte comparison is meaningful.

@@ -1,8 +1,10 @@
 // Observability subsystem: counter/gauge/histogram semantics, percentile
 // math against known distributions, span nesting and timing monotonicity,
-// logger sink capture and level filtering, and JSON/Prometheus export.
+// the overwrite-oldest event ring, logger sink capture and level
+// filtering, and JSON/Prometheus export.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <thread>
 
@@ -12,6 +14,7 @@
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/request_context.hpp"
+#include "obs/ring.hpp"
 #include "obs/span.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
@@ -265,6 +268,77 @@ TEST(Span, StageReportListsEverySpan) {
 
   obs::Registry empty;
   EXPECT_NE(obs::stage_report(empty).find("no trace spans"), std::string::npos);
+}
+
+// --- event ring --------------------------------------------------------------
+
+TEST(Ring, ZeroCapacityClampsToOne) {
+  obs::Ring<int> ring(0);
+  EXPECT_EQ(ring.capacity(), 1u);
+  EXPECT_EQ(ring.push(7), 1u);
+  EXPECT_EQ(ring.push(8), 2u);
+  EXPECT_EQ(ring.snapshot(), std::vector<int>{8});
+  EXPECT_EQ(ring.dropped(), 1u);
+}
+
+TEST(Ring, FillsWithoutWrapping) {
+  obs::Ring<int> ring(4);
+  EXPECT_EQ(ring.size(), 0u);
+  EXPECT_TRUE(ring.snapshot().empty());
+  for (int i = 1; i <= 3; ++i) {
+    EXPECT_EQ(ring.push(i * 10), static_cast<std::uint64_t>(i));
+  }
+  EXPECT_EQ(ring.snapshot(), (std::vector<int>{10, 20, 30}));
+  EXPECT_EQ(ring.size(), 3u);
+  EXPECT_EQ(ring.total(), 3u);
+  EXPECT_EQ(ring.dropped(), 0u);
+  ring.push(40);  // exactly full: still nothing dropped
+  EXPECT_EQ(ring.snapshot(), (std::vector<int>{10, 20, 30, 40}));
+  EXPECT_EQ(ring.dropped(), 0u);
+}
+
+TEST(Ring, WrapKeepsNewestOldestFirst) {
+  obs::Ring<int> ring(4);
+  for (int i = 1; i <= 5; ++i) ring.push(int{i});  // wraps by one
+  EXPECT_EQ(ring.snapshot(), (std::vector<int>{2, 3, 4, 5}));
+  EXPECT_EQ(ring.total(), 5u);
+  EXPECT_EQ(ring.dropped(), 1u);
+
+  for (int i = 6; i <= 15; ++i) ring.push(int{i});  // several more laps
+  EXPECT_EQ(ring.snapshot(), (std::vector<int>{12, 13, 14, 15}));
+  EXPECT_EQ(ring.size(), 4u);
+  EXPECT_EQ(ring.total(), 15u);
+  EXPECT_EQ(ring.dropped(), 11u);
+  EXPECT_EQ(ring.dropped(), ring.total() - ring.size());
+
+  std::vector<int> visited;
+  ring.for_each([&](int v) { visited.push_back(v); });
+  EXPECT_EQ(visited, ring.snapshot());
+}
+
+TEST(Ring, SequenceNeverRecyclesUntilClear) {
+  obs::Ring<int> ring(2);
+  std::uint64_t last = 0;
+  for (int i = 0; i < 9; ++i) {
+    const std::uint64_t seq = ring.push(int{i});
+    EXPECT_EQ(seq, last + 1);  // strictly increasing across every wrap
+    last = seq;
+  }
+  ring.clear();
+  EXPECT_EQ(ring.size(), 0u);
+  EXPECT_EQ(ring.total(), 0u);
+  EXPECT_EQ(ring.dropped(), 0u);
+  EXPECT_EQ(ring.push(42), 1u);  // only clear() restarts the sequence
+  EXPECT_EQ(ring.snapshot(), std::vector<int>{42});
+}
+
+TEST(Ring, HoldsMoveOnlyValues) {
+  obs::Ring<std::unique_ptr<int>> ring(2);
+  for (int i = 1; i <= 3; ++i) ring.push(std::make_unique<int>(i));
+  std::vector<int> values;
+  ring.for_each([&](const std::unique_ptr<int>& p) { values.push_back(*p); });
+  EXPECT_EQ(values, (std::vector<int>{2, 3}));
+  EXPECT_EQ(ring.dropped(), 1u);
 }
 
 // --- logging ---------------------------------------------------------------

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+#include <variant>
+
 #include "rtr/cache.hpp"
 #include "rtr/client.hpp"
 #include "rtr/pdu.hpp"
@@ -14,6 +18,18 @@ rpki::Vrp V(const std::string& prefix, std::uint8_t maxlen, std::uint32_t asn) {
 }
 
 // --- PDU codec ----------------------------------------------------------------
+
+/// Stable parameterized test names, "<PduType>_<index>". Without a name
+/// generator gtest prints each Pdu's raw bytes, padding included, so the
+/// test IDs would differ from build to build.
+std::string pdu_test_name(const ::testing::TestParamInfo<Pdu>& info) {
+  static constexpr const char* kTypes[] = {
+      "SerialNotify", "SerialQuery", "ResetQuery", "CacheResponse", "PrefixPdu",
+      "EndOfData",    "CacheReset",  "RouterKey",  "ErrorReport"};
+  static_assert(std::size(kTypes) == std::variant_size_v<Pdu>);
+  return std::string(kTypes[info.param.index()]) + "_" +
+         std::to_string(info.index);
+}
 
 class PduRoundTrip : public ::testing::TestWithParam<Pdu> {};
 
@@ -37,7 +53,8 @@ INSTANTIATE_TEST_SUITE_P(
         Pdu{PrefixPdu{false, net::Prefix::parse("2a00:1450::/32").value(), 48,
                       net::Asn(15169)}},
         Pdu{EndOfData{7, 42}}, Pdu{CacheReset{}},
-        Pdu{ErrorReport{ErrorCode::kCorruptData, {1, 2, 3}, "bad pdu"}}));
+        Pdu{ErrorReport{ErrorCode::kCorruptData, {1, 2, 3}, "bad pdu"}}),
+    pdu_test_name);
 
 TEST(Pdu, WireLayoutIpv4Prefix) {
   const Pdu pdu{PrefixPdu{true, P("10.0.0.0/16"), 24, net::Asn(65001)}};
@@ -366,7 +383,8 @@ INSTANTIATE_TEST_SUITE_P(
                       Pdu{sample_router_key()},
                       Pdu{ErrorReport{ErrorCode::kUnexpectedProtocolVersion,
                                       {},
-                                      "v"}}));
+                                      "v"}}),
+    pdu_test_name);
 
 TEST(PduV1, EndOfDataCarriesIntervals) {
   const Pdu pdu{EndOfData{7, 42, 1111, 222, 3333}};

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "exec/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sched.hpp"
+#include "obs/span.hpp"
 #include "obs/trace.hpp"
 #include "web/ecosystem.hpp"
 
@@ -127,12 +129,12 @@ TEST(SchedTelemetryTest, BeginRunClearsPreviousWindow) {
   EXPECT_EQ(sched.snapshot().lanes[0].tasks, 0u);
 }
 
-TEST(SchedTelemetryTest, StageScopeChargesOnlyAttachedThreads) {
+TEST(SchedTelemetryTest, StageSpanChargesOnlyAttachedThreads) {
   SchedTelemetry sched;
   sched.begin_run(0);
   {
     // Not attached: scope must be inert.
-    obs::StageScope scope(&sched, SweepStage::kDns);
+    obs::Span scope(SweepStage::kDns);
   }
   EXPECT_EQ(sched.snapshot()
                 .lanes[0]
@@ -140,7 +142,7 @@ TEST(SchedTelemetryTest, StageScopeChargesOnlyAttachedThreads) {
             0u);
   {
     obs::LaneScope lane(&sched, sched.external_lane());
-    obs::StageScope scope(&sched, SweepStage::kCovering);
+    obs::Span scope(SweepStage::kCovering);
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   const auto snap = sched.snapshot();
@@ -152,11 +154,11 @@ TEST(SchedTelemetryTest, StageScopeChargesOnlyAttachedThreads) {
   EXPECT_EQ(lane.events[0].stage, SweepStage::kCovering);
 }
 
-TEST(SchedTelemetryTest, StageScopeStopIsIdempotent) {
+TEST(SchedTelemetryTest, StageSpanStopIsIdempotent) {
   SchedTelemetry sched;
   sched.begin_run(0);
   obs::LaneScope lane(&sched, 0);
-  obs::StageScope scope(&sched, SweepStage::kEmit);
+  obs::Span scope(SweepStage::kEmit);
   scope.stop();
   scope.stop();  // second stop and the destructor must not double-charge
   EXPECT_EQ(sched.snapshot().lanes[0].events.size(), 1u);
@@ -490,6 +492,37 @@ TEST_F(SchedPipelineTest, SerialSweepChargesTheExternalLane) {
         << obs::sweep_stage_name(static_cast<SweepStage>(s));
   }
   EXPECT_EQ(lane.tasks, 0u);  // no pool ran
+}
+
+TEST_F(SchedPipelineTest, StagedSpansFeedHistogramsAndLanesTogether) {
+  obs::Registry registry;
+  SchedTelemetry sched;
+  core::PipelineConfig config;
+  config.registry = &registry;
+  config.sched = &sched;
+  core::MeasurementPipeline pipeline(*eco_, config);
+  pipeline.run();
+
+  const auto snap = sched.snapshot();
+  const auto& lane = snap.lanes[0];
+  for (std::size_t s = 0; s < obs::kSweepStageCount; ++s) {
+    EXPECT_GT(lane.stage_ns[s], 0u)
+        << obs::sweep_stage_name(static_cast<SweepStage>(s));
+  }
+  // The DNSSEC-probe and emit slices charge the lane only: the sweep's
+  // trace histograms are exactly the three stage spans.
+  std::vector<std::string> sweep_spans;
+  for (const auto& metric : registry.collect()) {
+    if (metric.name.rfind("ripki.trace.pipeline.run.sweep.", 0) == 0) {
+      sweep_spans.push_back(metric.name);
+    }
+  }
+  EXPECT_EQ(sweep_spans,
+            (std::vector<std::string>{
+                "ripki.trace.pipeline.run.sweep.stage2.dns",
+                "ripki.trace.pipeline.run.sweep.stage2.dns.dns.resolve",
+                "ripki.trace.pipeline.run.sweep.stage3.prefix_origin",
+                "ripki.trace.pipeline.run.sweep.stage4.origin_validation"}));
 }
 
 TEST_F(SchedPipelineTest, InstrumentedRunStaysIdenticalToUninstrumented) {

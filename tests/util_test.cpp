@@ -277,6 +277,27 @@ TEST(Strings, ParseU64) {
   EXPECT_FALSE(parse_u64("-1", v));
 }
 
+TEST(Strings, JsonEscape) {
+  EXPECT_EQ(json_escape("plain.path"), "plain.path");
+  EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(json_escape("l1\nl2\rl3\tx"), "l1\\nl2\\rl3\\tx");
+  EXPECT_EQ(json_escape(std::string_view("\x01\x1f", 2)), "\\u0001\\u001f");
+  // Bytes >= 0x80 (UTF-8) pass through untouched.
+  EXPECT_EQ(json_escape("caf\xc3\xa9 \xff"), "caf\xc3\xa9 \xff");
+  EXPECT_EQ(json_escape(std::string_view("\0", 1)), "\\u0000");
+}
+
+TEST(Strings, CsvEscape) {
+  EXPECT_EQ(csv_escape("plain"), "plain");
+  EXPECT_EQ(csv_escape(""), "");
+  EXPECT_EQ(csv_escape("a,b"), "\"a,b\"");
+  EXPECT_EQ(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
+  EXPECT_EQ(csv_escape("x,\"y\""), "\"x,\"\"y\"\"\"");
+  EXPECT_EQ(csv_escape("two\nlines"), "\"two\nlines\"");
+  // Backslashes, tabs and high bytes need no CSV quoting.
+  EXPECT_EQ(csv_escape("a\\b\tc\xc3\xa9"), "a\\b\tc\xc3\xa9");
+}
+
 TEST(Strings, HexAndFormat) {
   const std::vector<std::uint8_t> data = {0x00, 0xFF, 0x5A};
   EXPECT_EQ(to_hex(data), "00ff5a");
