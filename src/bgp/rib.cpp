@@ -21,16 +21,21 @@ const std::vector<RibEntry>* Rib::entries_for(const net::Prefix& prefix) const {
 }
 
 std::vector<Rib::CoveringResult> Rib::covering(const net::IpAddress& addr) const {
-  const auto matches =
-      frozen_built_ && !frozen_stale_
-          ? frozen_.path_matches(frozen_.deepest_covering(addr))
-          : trie_.covering(addr);
   std::vector<CoveringResult> out;
-  out.reserve(matches.size());
-  for (const auto& match : matches) {
-    out.push_back({match.prefix, match.value});
-  }
+  covering(addr, out);
   return out;
+}
+
+void Rib::covering(const net::IpAddress& addr, std::vector<CoveringResult>& out) const {
+  const auto append = [&out](const net::Prefix& prefix,
+                             const std::vector<RibEntry>& entries) {
+    out.push_back({prefix, &entries});
+  };
+  if (frozen_built_ && !frozen_stale_) {
+    frozen_.for_each_path_match(frozen_.deepest_covering(addr), append);
+  } else {
+    trie_.for_each_covering(net::Prefix(addr, addr.width()), append);
+  }
 }
 
 void Rib::freeze() {

@@ -56,6 +56,8 @@ class Rib {
     const std::vector<RibEntry>* entries;
   };
   std::vector<CoveringResult> covering(const net::IpAddress& addr) const;
+  /// covering() appending into `out` — the sweep kernel reuses one vector.
+  void covering(const net::IpAddress& addr, std::vector<CoveringResult>& out) const;
 
   /// Builds the compact array-mapped image of the trie (see
   /// trie::PrefixTrie::Frozen). Call once after the table is fully

@@ -50,7 +50,7 @@ const RowResult& MeasureKernel::measure(const dns::DnsName& apex) {
   obs::Span probe_stage(obs::SweepStage::kDns);
   if (auto dnskey = resolver_.query(apex, dns::RecordType::kDnskey);
       dnskey.ok()) {
-    for (const auto& rr : dnskey.value().answers) {
+    for (const auto& rr : dnskey.value()->answers) {
       if (rr.type == dns::RecordType::kDnskey) {
         row_.dnssec_signed = true;
         break;
@@ -66,13 +66,13 @@ void MeasureKernel::measure_variant(const dns::DnsName& name,
 
   // Step 2: resolve A/AAAA with CNAME chasing.
   obs::Span dns_span(registry_, "stage2.dns", obs::SweepStage::kDns);
-  auto resolution = resolver_.resolve_all(name);
+  const bool resolved = resolver_.resolve_all_into(name, resolution_).ok();
   dns_span.stop();
-  if (!resolution.ok()) return;  // treated as unresolvable
-  const dns::Resolution& res = resolution.value();
+  if (!resolved) return;  // treated as unresolvable
+  const dns::Resolution& res = resolution_;
   out.cname_hops =
       static_cast<std::uint8_t>(std::min<std::size_t>(res.cname_hops(), 255));
-  if (res.cname_hops() > 0) out.terminal_cname = res.chain.back().to_string();
+  if (res.cname_hops() > 0) res.chain.back().append_to(out.terminal_cname);
   if (res.rcode != dns::Rcode::kNoError) return;
 
   // Filter IANA special-purpose answers; this variant's kept addresses
@@ -96,12 +96,13 @@ void MeasureKernel::measure_variant(const dns::DnsName& name,
   obs::Span lookup_span(registry_, "stage3.prefix_origin",
                         obs::SweepStage::kCovering);
   for (std::size_t i = first; i < kept.size(); ++i) {
-    const auto covering = rib_->covering(kept[i]);
-    if (covering.empty()) {
+    covering_.clear();
+    rib_->covering(kept[i], covering_);
+    if (covering_.empty()) {
       ++out.unrouted_addresses;
       continue;
     }
-    for (const auto& match : covering) {
+    for (const auto& match : covering_) {
       for (const auto& entry : *match.entries) {
         if (entry.as_path.contains_as_set()) {
           ++row_.as_set_excluded;

@@ -73,6 +73,10 @@ class MeasureKernel {
   const rpki::VrpIndex* vrps_;
   obs::Registry* registry_;
   RowResult row_;
+  // Per-variant scratch, reused so a warm kernel measures without
+  // allocating beyond what the row itself keeps.
+  dns::Resolution resolution_;
+  std::vector<bgp::Rib::CoveringResult> covering_;
 };
 
 }  // namespace ripki::core

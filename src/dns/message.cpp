@@ -1,6 +1,8 @@
 #include "dns/message.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <cstring>
 
 namespace ripki::dns {
 
@@ -39,37 +41,62 @@ Message Message::query(std::uint16_t id, DnsName name, RecordType type) {
   return m;
 }
 
+void Message::reset() {
+  id = 0;
+  is_response = false;
+  authoritative = false;
+  truncated = false;
+  recursion_desired = true;
+  recursion_available = false;
+  rcode = Rcode::kNoError;
+  questions.clear();
+  answers.clear();
+  authority.clear();
+  additional.clear();
+}
+
 namespace {
 
 constexpr std::uint16_t kClassIn = 1;
 constexpr std::uint8_t kPointerMask = 0xC0;
+constexpr std::size_t kMaxPointerOffset = 0x3FFF;
 
-/// Compression dictionary: dotted-suffix -> message offset.
-using NameOffsets = std::unordered_map<std::string, std::size_t>;
+/// A compression target: a name suffix written out as labels, and the
+/// message offset of its first label. `wire` points into a name of the
+/// message being encoded, which outlives the encode call.
+struct WrittenSuffix {
+  const std::uint8_t* wire;
+  std::size_t size;
+  std::uint16_t offset;
+};
+using WrittenSuffixes = std::vector<WrittenSuffix>;
 
-void write_name(util::ByteWriter& w, const DnsName& name, NameOffsets& offsets) {
-  const auto& labels = name.labels();
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    // Dotted representation of the remaining suffix.
-    std::string suffix;
-    for (std::size_t j = i; j < labels.size(); ++j) {
-      if (j != i) suffix += '.';
-      suffix += labels[j];
+/// Every suffix is recorded at most once (a later name finds it and
+/// points at it instead of writing it again), so a linear scan for the
+/// longest written suffix picks the same offset a suffix->offset map
+/// would.
+void write_name(util::ByteWriter& w, const DnsName& name, WrittenSuffixes& written) {
+  const auto wire = name.wire();
+  for (std::size_t at = 0; at < wire.size(); at += wire[at] + 1u) {
+    const std::size_t size = wire.size() - at;
+    for (const WrittenSuffix& suffix : written) {
+      if (suffix.size == size && std::memcmp(suffix.wire, wire.data() + at, size) == 0) {
+        w.put_u16(static_cast<std::uint16_t>(0xC000 | suffix.offset));
+        return;
+      }
     }
-    const auto it = offsets.find(suffix);
-    if (it != offsets.end() && it->second < 0x3FFF) {
-      w.put_u16(static_cast<std::uint16_t>(0xC000 | it->second));
-      return;
+    if (w.size() < kMaxPointerOffset) {
+      written.push_back({wire.data() + at, size, static_cast<std::uint16_t>(w.size())});
     }
-    if (w.size() < 0x3FFF) offsets.emplace(std::move(suffix), w.size());
-    w.put_u8(static_cast<std::uint8_t>(labels[i].size()));
-    w.put_string(labels[i]);
+    w.put_bytes(wire.subspan(at, wire[at] + 1u));
   }
   w.put_u8(0);  // root
 }
 
-util::Result<DnsName> read_name(std::span<const std::uint8_t> data, std::size_t& pos) {
-  std::vector<std::string> labels;
+/// Reads a possibly compressed name into `out`, lowercasing the labels.
+util::Result<void> read_name(std::span<const std::uint8_t> data, std::size_t& pos,
+                             DnsName& out) {
+  out = DnsName();
   std::size_t cursor = pos;
   bool jumped = false;
   // Forward progress guard: every compression pointer must point strictly
@@ -97,18 +124,21 @@ util::Result<DnsName> read_name(std::span<const std::uint8_t> data, std::size_t&
     if ((len & kPointerMask) != 0) return util::Err("dns: reserved label type");
     if (len == 0) {
       if (!jumped) pos = cursor + 1;
-      return DnsName::from_labels(std::move(labels));
+      return {};
     }
     if (cursor + 1 + len > data.size()) return util::Err("dns: truncated label");
     total += len + 1;
-    if (total > 255) return util::Err("dns: name exceeds 255 octets");
-    labels.emplace_back(reinterpret_cast<const char*>(data.data() + cursor + 1), len);
+    if (total > DnsName::kMaxWire) return util::Err("dns: name exceeds 255 octets");
+    out.append_label(
+        std::string_view(reinterpret_cast<const char*>(data.data() + cursor + 1), len));
     cursor += 1 + len;
   }
 }
 
-void write_record(util::ByteWriter& w, const ResourceRecord& rr, NameOffsets& offsets) {
-  write_name(w, rr.name, offsets);
+void write_record(util::ByteWriter& w, const ResourceRecord& rr,
+                  WrittenSuffixes& written) {
+
+  write_name(w, rr.name, written);
   w.put_u16(static_cast<std::uint16_t>(rr.type));
   w.put_u16(kClassIn);
   w.put_u32(rr.ttl);
@@ -129,12 +159,12 @@ void write_record(util::ByteWriter& w, const ResourceRecord& rr, NameOffsets& of
     }
     case RecordType::kCname:
     case RecordType::kNs:
-      write_name(w, std::get<DnsName>(rr.rdata), offsets);
+      write_name(w, std::get<DnsName>(rr.rdata), written);
       break;
     case RecordType::kSoa: {
       const auto& soa = std::get<SoaData>(rr.rdata);
-      write_name(w, soa.mname, offsets);
-      write_name(w, soa.rname, offsets);
+      write_name(w, soa.mname, written);
+      write_name(w, soa.rname, written);
       w.put_u32(soa.serial);
       w.put_u32(soa.refresh);
       w.put_u32(soa.retry);
@@ -161,11 +191,9 @@ void write_record(util::ByteWriter& w, const ResourceRecord& rr, NameOffsets& of
   w.patch_u16(rdlength_at, static_cast<std::uint16_t>(w.size() - rdata_start));
 }
 
-util::Result<ResourceRecord> read_record(std::span<const std::uint8_t> data,
-                                         std::size_t& pos) {
-  ResourceRecord rr;
-  RIPKI_TRY_ASSIGN(name, read_name(data, pos));
-  rr.name = std::move(name);
+util::Result<void> read_record(std::span<const std::uint8_t> data, std::size_t& pos,
+                               ResourceRecord& rr) {
+  if (auto r = read_name(data, pos, rr.name); !r.ok()) return r.error();
 
   util::ByteReader reader(data);
   if (auto r = reader.seek(pos); !r.ok()) return r.error();
@@ -183,13 +211,13 @@ util::Result<ResourceRecord> read_record(std::span<const std::uint8_t> data,
   switch (rr.type) {
     case RecordType::kA: {
       if (rdlength != 4) return util::Err("dns: bad A rdata length");
-      RIPKI_TRY_ASSIGN(raw, reader.bytes(4));
+      RIPKI_TRY_ASSIGN(raw, reader.view(4));
       rr.rdata = net::IpAddress::v4(raw[0], raw[1], raw[2], raw[3]);
       break;
     }
     case RecordType::kAaaa: {
       if (rdlength != 16) return util::Err("dns: bad AAAA rdata length");
-      RIPKI_TRY_ASSIGN(raw, reader.bytes(16));
+      RIPKI_TRY_ASSIGN(raw, reader.view(16));
       std::array<std::uint8_t, 16> addr{};
       std::copy(raw.begin(), raw.end(), addr.begin());
       rr.rdata = net::IpAddress::v6(addr);
@@ -198,18 +226,16 @@ util::Result<ResourceRecord> read_record(std::span<const std::uint8_t> data,
     case RecordType::kCname:
     case RecordType::kNs: {
       std::size_t name_pos = rdata_start;
-      RIPKI_TRY_ASSIGN(target, read_name(data, name_pos));
+      auto& target = rr.rdata.emplace<DnsName>();
+      if (auto r = read_name(data, name_pos, target); !r.ok()) return r.error();
       if (name_pos != rdata_end) return util::Err("dns: bad name rdata length");
-      rr.rdata = std::move(target);
       break;
     }
     case RecordType::kSoa: {
       std::size_t soa_pos = rdata_start;
-      SoaData soa;
-      RIPKI_TRY_ASSIGN(mname, read_name(data, soa_pos));
-      soa.mname = std::move(mname);
-      RIPKI_TRY_ASSIGN(rname, read_name(data, soa_pos));
-      soa.rname = std::move(rname);
+      auto& soa = rr.rdata.emplace<SoaData>();
+      if (auto r = read_name(data, soa_pos, soa.mname); !r.ok()) return r.error();
+      if (auto r = read_name(data, soa_pos, soa.rname); !r.ok()) return r.error();
       util::ByteReader ints(data);
       if (auto r = ints.seek(soa_pos); !r.ok()) return r.error();
       RIPKI_TRY_ASSIGN(serial, ints.u32());
@@ -223,7 +249,6 @@ util::Result<ResourceRecord> read_record(std::span<const std::uint8_t> data,
       RIPKI_TRY_ASSIGN(minimum, ints.u32());
       soa.minimum = minimum;
       if (ints.position() != rdata_end) return util::Err("dns: bad SOA rdata length");
-      rr.rdata = std::move(soa);
       break;
     }
     case RecordType::kTxt: {
@@ -236,7 +261,7 @@ util::Result<ResourceRecord> read_record(std::span<const std::uint8_t> data,
     }
     case RecordType::kDnskey: {
       if (rdlength < 4) return util::Err("dns: bad DNSKEY rdata length");
-      DnskeyData key;
+      auto& key = rr.rdata.emplace<DnskeyData>();
       RIPKI_TRY_ASSIGN(flags, reader.u16());
       key.flags = flags;
       RIPKI_TRY_ASSIGN(protocol, reader.u8());
@@ -245,7 +270,6 @@ util::Result<ResourceRecord> read_record(std::span<const std::uint8_t> data,
       key.algorithm = algorithm;
       RIPKI_TRY_ASSIGN(blob, reader.string(rdlength - 4));
       key.public_key = std::move(blob);
-      rr.rdata = std::move(key);
       break;
     }
     default:
@@ -253,7 +277,15 @@ util::Result<ResourceRecord> read_record(std::span<const std::uint8_t> data,
   }
 
   pos = rdata_end;
-  return rr;
+  return {};
+}
+
+util::Result<void> read_records(std::span<const std::uint8_t> data, std::size_t& pos,
+                                std::uint16_t count, std::vector<ResourceRecord>& out) {
+  for (std::uint16_t i = 0; i < count; ++i) {
+    if (auto r = read_record(data, pos, out.emplace_back()); !r.ok()) return r.error();
+  }
+  return {};
 }
 
 }  // namespace
@@ -266,7 +298,10 @@ util::Bytes encode(const Message& message) {
 
 void encode_into(const Message& message, util::Bytes& out) {
   util::ByteWriter w(std::move(out));
-  NameOffsets offsets;
+  // Per-thread table of written suffixes: its capacity outlives the call,
+  // so steady-state encodes do not allocate.
+  thread_local WrittenSuffixes written;
+  written.clear();
 
   w.put_u16(message.id);
   std::uint16_t flags = 0;
@@ -283,19 +318,29 @@ void encode_into(const Message& message, util::Bytes& out) {
   w.put_u16(static_cast<std::uint16_t>(message.additional.size()));
 
   for (const auto& q : message.questions) {
-    write_name(w, q.name, offsets);
+    write_name(w, q.name, written);
     w.put_u16(static_cast<std::uint16_t>(q.type));
     w.put_u16(kClassIn);
   }
-  for (const auto& rr : message.answers) write_record(w, rr, offsets);
-  for (const auto& rr : message.authority) write_record(w, rr, offsets);
-  for (const auto& rr : message.additional) write_record(w, rr, offsets);
+  for (const auto& rr : message.answers) write_record(w, rr, written);
+  for (const auto& rr : message.authority) write_record(w, rr, written);
+  for (const auto& rr : message.additional) write_record(w, rr, written);
   out = std::move(w).take();
 }
 
 util::Result<Message> decode(std::span<const std::uint8_t> data) {
-  util::ByteReader reader(data);
   Message m;
+  if (auto r = decode_into(data, m); !r.ok()) return r.error();
+  return m;
+}
+
+util::Result<void> decode_into(std::span<const std::uint8_t> data, Message& m) {
+  m.questions.clear();
+  m.answers.clear();
+  m.authority.clear();
+  m.additional.clear();
+
+  util::ByteReader reader(data);
   RIPKI_TRY_ASSIGN(id, reader.u16());
   m.id = id;
   RIPKI_TRY_ASSIGN(flags, reader.u16());
@@ -312,29 +357,21 @@ util::Result<Message> decode(std::span<const std::uint8_t> data) {
 
   std::size_t pos = reader.position();
   for (std::uint16_t i = 0; i < qdcount; ++i) {
-    RIPKI_TRY_ASSIGN(name, read_name(data, pos));
+    Question& q = m.questions.emplace_back();
+    if (auto r = read_name(data, pos, q.name); !r.ok()) return r.error();
     util::ByteReader qr(data);
     if (auto r = qr.seek(pos); !r.ok()) return r.error();
     RIPKI_TRY_ASSIGN(type_raw, qr.u16());
     RIPKI_TRY_ASSIGN(klass, qr.u16());
     if (klass != kClassIn) return util::Err("dns: unsupported question class");
     pos = qr.position();
-    m.questions.push_back(Question{std::move(name), static_cast<RecordType>(type_raw)});
+    q.type = static_cast<RecordType>(type_raw);
   }
-  for (std::uint16_t i = 0; i < ancount; ++i) {
-    RIPKI_TRY_ASSIGN(rr, read_record(data, pos));
-    m.answers.push_back(std::move(rr));
-  }
-  for (std::uint16_t i = 0; i < nscount; ++i) {
-    RIPKI_TRY_ASSIGN(rr, read_record(data, pos));
-    m.authority.push_back(std::move(rr));
-  }
-  for (std::uint16_t i = 0; i < arcount; ++i) {
-    RIPKI_TRY_ASSIGN(rr, read_record(data, pos));
-    m.additional.push_back(std::move(rr));
-  }
+  if (auto r = read_records(data, pos, ancount, m.answers); !r.ok()) return r.error();
+  if (auto r = read_records(data, pos, nscount, m.authority); !r.ok()) return r.error();
+  if (auto r = read_records(data, pos, arcount, m.additional); !r.ok()) return r.error();
   if (pos != data.size()) return util::Err("dns: trailing bytes in message");
-  return m;
+  return {};
 }
 
 }  // namespace ripki::dns

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <variant>
 #include <vector>
 
@@ -101,18 +100,29 @@ struct Message {
 
   /// Convenience constructor for a one-question query.
   static Message query(std::uint16_t id, DnsName name, RecordType type);
+
+  /// Back to a default-constructed message, keeping the sections'
+  /// capacity — for messages reused as per-query scratch.
+  void reset();
 };
 
-/// Encodes with RFC 1035 §4.1.4 name compression (every repeated suffix
-/// becomes a 2-byte pointer).
+/// Encodes with RFC 1035 §4.1.4 name compression: every repeated suffix
+/// becomes a 2-byte pointer to the first place it was written. Suffixes
+/// are matched by comparing wire bytes against the names written so far.
 util::Bytes encode(const Message& message);
 
 /// Encodes into `out` (cleared first, capacity reused) — the allocation-
 /// free steady-state path for query loops with per-worker scratch.
 void encode_into(const Message& message, util::Bytes& out);
 
-/// Strict decoder: rejects truncation, compression loops and
-/// forward-pointing compression offsets.
+/// Strict decoder: rejects truncation, compression loops,
+/// forward-pointing compression offsets, reserved label types and names
+/// over 255 octets.
 util::Result<Message> decode(std::span<const std::uint8_t> data);
+
+/// decode() into `out`, reusing the capacity of its sections: the
+/// steady-state form for query loops with per-worker scratch. On error
+/// `out` holds a partial message.
+util::Result<void> decode_into(std::span<const std::uint8_t> data, Message& out);
 
 }  // namespace ripki::dns

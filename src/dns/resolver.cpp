@@ -27,93 +27,118 @@ void StubResolver::attach(obs::Registry* registry) {
                      "CNAME links followed while chasing resolution chains");
 }
 
+util::Result<void> StubResolver::exchange(const DnsName& name, RecordType type,
+                                          bool stream) {
+  query_.id = next_id_++;
+  query_.questions.clear();
+  query_.questions.push_back(Question{name, type});
+  count_query();
+  encode_into(query_, query_wire_);
+  if (!stream) {
+    // UDP first; a TC response triggers a TCP retry (RFC 1035 §4.2.1).
+    server_->handle_datagram(query_wire_, response_wire_);
+    if (auto r = decode_into(response_wire_, response_); !r.ok()) return r.error();
+    stream = response_.truncated;
+    if (stream) {
+      ++tcp_retries_;
+      if (tcp_retries_counter_ != nullptr) tcp_retries_counter_->inc();
+      count_query();
+    }
+  }
+  if (stream) {
+    server_->handle_stream(query_wire_, response_wire_);
+    if (auto r = decode_into(response_wire_, response_); !r.ok()) return r.error();
+  }
+  if (response_.id != query_.id) return util::Err("resolver: response id mismatch");
+  return {};
+}
+
+void StubResolver::count_query() {
+  ++queries_sent_;
+  if (queries_counter_ != nullptr) queries_counter_->inc();
+}
+
 util::Result<Resolution> StubResolver::resolve(const DnsName& name, RecordType type) {
   Resolution result;
-  DnsName current = name;
-  result.chain.push_back(current);
+  if (auto r = resolve_into(name, type, result); !r.ok()) return r.error();
+  return result;
+}
+
+util::Result<void> StubResolver::resolve_into(const DnsName& name, RecordType type,
+                                              Resolution& out) {
+  out.chain.clear();
+  out.addresses.clear();
+  out.rcode = Rcode::kNoError;
+  out.chain.push_back(name);
 
   for (std::size_t depth = 0; depth <= kMaxChainDepth; ++depth) {
-    const Message query = Message::query(next_id_++, current, type);
-    ++queries_sent_;
-    if (queries_counter_ != nullptr) queries_counter_->inc();
-    // UDP first; a TC response triggers a TCP retry (RFC 1035 §4.2.1).
-    // Wire bytes go through the member scratch buffers, so the
-    // steady-state exchange reuses their capacity instead of allocating.
-    encode_into(query, query_wire_);
-    server_->handle_datagram(query_wire_, response_wire_);
-    RIPKI_TRY_ASSIGN(first, decode(response_wire_));
-    Message response = std::move(first);
-    if (response.truncated) {
-      ++tcp_retries_;
-      ++queries_sent_;
-      if (tcp_retries_counter_ != nullptr) tcp_retries_counter_->inc();
-      if (queries_counter_ != nullptr) queries_counter_->inc();
-      server_->handle_stream(query_wire_, response_wire_);
-      RIPKI_TRY_ASSIGN(full, decode(response_wire_));
-      response = std::move(full);
-    }
-
-    if (response.id != query.id) return util::Err("resolver: response id mismatch");
-    if (!response.is_response) return util::Err("resolver: answer not a response");
-    if (response.rcode != Rcode::kNoError) {
-      result.rcode = response.rcode;
-      return result;
+    const DnsName& current = out.chain.back();
+    if (auto r = exchange(current, type, false); !r.ok()) return r.error();
+    if (!response_.is_response) return util::Err("resolver: answer not a response");
+    if (response_.rcode != Rcode::kNoError) {
+      out.rcode = response_.rcode;
+      return {};
     }
 
     const DnsName* next_target = nullptr;
-    for (const auto& rr : response.answers) {
+    for (const auto& rr : response_.answers) {
       if (rr.name != current) continue;
       if (rr.type == type) {
-        result.addresses.push_back(std::get<net::IpAddress>(rr.rdata));
+        out.addresses.push_back(std::get<net::IpAddress>(rr.rdata));
       } else if (rr.type == RecordType::kCname) {
         next_target = &std::get<DnsName>(rr.rdata);
       }
     }
-    if (!result.addresses.empty() || next_target == nullptr) return result;
+    if (!out.addresses.empty() || next_target == nullptr) return {};
 
     // Follow the alias; a name repeating in the chain is a loop.
-    if (std::find(result.chain.begin(), result.chain.end(), *next_target) !=
-        result.chain.end()) {
+    if (std::find(out.chain.begin(), out.chain.end(), *next_target) !=
+        out.chain.end()) {
       return util::Err("resolver: CNAME loop at " + next_target->to_string());
     }
-    current = *next_target;
-    result.chain.push_back(current);
+    out.chain.push_back(*next_target);
   }
   return util::Err("resolver: CNAME chain exceeds depth limit");
 }
 
-util::Result<Message> StubResolver::query(const DnsName& name, RecordType type) {
-  const Message message = Message::query(next_id_++, name, type);
-  ++queries_sent_;
-  if (queries_counter_ != nullptr) queries_counter_->inc();
-  encode_into(message, query_wire_);
-  server_->handle_stream(query_wire_, response_wire_);
-  RIPKI_TRY_ASSIGN(response, decode(response_wire_));
-  if (response.id != message.id) return util::Err("resolver: response id mismatch");
-  return response;
+util::Result<const Message*> StubResolver::query(const DnsName& name, RecordType type) {
+  if (auto r = exchange(name, type, true); !r.ok()) return r.error();
+  return &response_;
 }
 
 util::Result<Resolution> StubResolver::resolve_all(const DnsName& name) {
-  obs::Span span(registry_, "dns.resolve");
-  RIPKI_TRY_ASSIGN(v4, resolve(name, RecordType::kA));
-  RIPKI_TRY_ASSIGN(v6, resolve(name, RecordType::kAaaa));
-
-  Resolution merged = v4.chain.size() >= v6.chain.size() ? v4 : v6;
-  const Resolution& other = v4.chain.size() >= v6.chain.size() ? v6 : v4;
-  merged.addresses.insert(merged.addresses.end(), other.addresses.begin(),
-                          other.addresses.end());
-  // NXDOMAIN only if both lookups failed to produce data.
-  if (v4.rcode == Rcode::kNoError || v6.rcode == Rcode::kNoError) {
-    merged.rcode = Rcode::kNoError;
-    if (merged.addresses.empty() && v4.rcode != Rcode::kNoError)
-      merged.rcode = v4.rcode;
-    if (merged.addresses.empty() && v6.rcode != Rcode::kNoError)
-      merged.rcode = v6.rcode;
-  }
-  if (cname_hops_counter_ != nullptr && merged.cname_hops() > 0) {
-    cname_hops_counter_->inc(merged.cname_hops());
-  }
+  Resolution merged;
+  if (auto r = resolve_all_into(name, merged); !r.ok()) return r.error();
   return merged;
+}
+
+util::Result<void> StubResolver::resolve_all_into(const DnsName& name,
+                                                  Resolution& out) {
+  obs::Span span(registry_, "dns.resolve");
+  if (auto r = resolve_into(name, RecordType::kA, out); !r.ok()) return r.error();
+  Resolution& v6 = other_family_;
+  if (auto r = resolve_into(name, RecordType::kAaaa, v6); !r.ok()) return r.error();
+  const Rcode v4_rcode = out.rcode;
+  const Rcode v6_rcode = v6.rcode;
+
+  // The longer chain wins (A on a tie) and its addresses come first; the
+  // swaps move storage between `out` and the scratch instead of copying.
+  if (v6.chain.size() > out.chain.size()) {
+    std::swap(out.chain, v6.chain);
+    std::swap(out.addresses, v6.addresses);
+    out.rcode = v6_rcode;
+  }
+  out.addresses.insert(out.addresses.end(), v6.addresses.begin(), v6.addresses.end());
+  // NXDOMAIN only if both lookups failed to produce data.
+  if (v4_rcode == Rcode::kNoError || v6_rcode == Rcode::kNoError) {
+    out.rcode = Rcode::kNoError;
+    if (out.addresses.empty() && v4_rcode != Rcode::kNoError) out.rcode = v4_rcode;
+    if (out.addresses.empty() && v6_rcode != Rcode::kNoError) out.rcode = v6_rcode;
+  }
+  if (cname_hops_counter_ != nullptr && out.cname_hops() > 0) {
+    cname_hops_counter_->inc(out.cname_hops());
+  }
+  return {};
 }
 
 }  // namespace ripki::dns

@@ -5,9 +5,10 @@
 //
 // One server instance may be queried concurrently from many threads as
 // long as the ZoneSource's lookup is const-thread-safe (the in-memory and
-// ecosystem sources are): the handlers are const and the stats counters
-// are relaxed atomics. The parallel sweep shares a single server view
-// across all workers.
+// ecosystem sources are): the handlers are const, the stats counters
+// are relaxed atomics, and the wire handlers decode and answer into
+// per-thread scratch messages. The parallel sweep shares a single server
+// view across all workers.
 #pragma once
 
 #include <atomic>
@@ -48,6 +49,9 @@ class AuthoritativeServer {
 
   /// Protocol-level handler.
   Message handle(const Message& query) const;
+  /// handle() into `response` (reset first, capacity reused); the wire
+  /// handlers answer through it into per-thread scratch messages.
+  void handle(const Message& query, Message& response) const;
 
   /// Relaxed atomics: increments race-free under concurrent queries, each
   /// field individually consistent (no cross-field snapshot guarantee).
@@ -60,6 +64,11 @@ class AuthoritativeServer {
   const Stats& stats() const { return stats_; }
 
  private:
+  /// Decodes `query_bytes` into `query` and answers into `response`; a
+  /// malformed query gets a FORMERR response.
+  void answer(std::span<const std::uint8_t> query_bytes, Message& query,
+              Message& response) const;
+
   const ZoneSource* zones_;
   mutable Stats stats_;
 };

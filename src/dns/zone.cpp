@@ -8,13 +8,13 @@ void InMemoryZoneDb::add(ResourceRecord record) {
   ++record_count_;
 }
 
-std::vector<ResourceRecord> InMemoryZoneDb::lookup(const DnsName& name,
-                                                   RecordType type) const {
+void InMemoryZoneDb::lookup(const DnsName& name, RecordType type,
+                            std::vector<ResourceRecord>& out) const {
   const auto name_it = names_.find(name);
-  if (name_it == names_.end()) return {};
+  if (name_it == names_.end()) return;
   const auto type_it = name_it->second.by_type.find(static_cast<std::uint16_t>(type));
-  if (type_it == name_it->second.by_type.end()) return {};
-  return type_it->second;
+  if (type_it == name_it->second.by_type.end()) return;
+  out.insert(out.end(), type_it->second.begin(), type_it->second.end());
 }
 
 bool InMemoryZoneDb::name_exists(const DnsName& name) const {
@@ -23,18 +23,17 @@ bool InMemoryZoneDb::name_exists(const DnsName& name) const {
 
 // --- OverlayZone ------------------------------------------------------------
 
-std::vector<ResourceRecord> OverlayZone::lookup(const DnsName& name,
-                                                RecordType type) const {
-  if (suppressed_.contains(name)) return {};
+void OverlayZone::lookup(const DnsName& name, RecordType type,
+                         std::vector<ResourceRecord>& out) const {
+  if (suppressed_.contains(name)) return;
   const auto it = overrides_.find(name);
   if (it != overrides_.end()) {
-    std::vector<ResourceRecord> out;
     for (const auto& record : it->second) {
       if (record.type == type) out.push_back(record);
     }
-    return out;
+    return;
   }
-  return base_->lookup(name, type);
+  base_->lookup(name, type, out);
 }
 
 bool OverlayZone::name_exists(const DnsName& name) const {

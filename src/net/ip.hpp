@@ -2,6 +2,7 @@
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <compare>
 #include <cstdint>
 #include <functional>
@@ -35,7 +36,10 @@ class IpAddress {
   int width() const { return is_v4() ? 32 : 128; }
 
   /// MSB-first bit `i` of the address (i in [0, width())).
-  bool bit(int i) const;
+  bool bit(int i) const {
+    assert(i >= 0 && i < width());
+    return ((bytes_[static_cast<std::size_t>(i / 8)] >> (7 - i % 8)) & 1) != 0;
+  }
 
   /// Raw bytes; only the first width()/8 bytes are meaningful.
   const std::array<std::uint8_t, 16>& bytes() const { return bytes_; }

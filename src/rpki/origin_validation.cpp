@@ -26,21 +26,27 @@ void VrpIndex::add(const Vrp& vrp) {
 
 OriginValidity VrpIndex::validate(const net::Prefix& route, net::Asn origin) const {
   bool any_covering = false;
-  for (const auto& match : trie_.covering(route)) {
-    for (const Vrp& vrp : *match.value) {
+  bool valid = false;
+  trie_.for_each_covering(route, [&](const net::Prefix&, const std::vector<Vrp>& vrps) {
+    for (const Vrp& vrp : vrps) {
       any_covering = true;
       // AS0 VRPs ("this prefix must not be routed") can never validate.
       if (origin.value() != 0 && vrp.asn == origin &&
           route.length() <= static_cast<int>(vrp.max_length)) {
-        return OriginValidity::kValid;
+        valid = true;
       }
     }
-  }
+  });
+  if (valid) return OriginValidity::kValid;
   return any_covering ? OriginValidity::kInvalid : OriginValidity::kNotFound;
 }
 
 bool VrpIndex::covered(const net::Prefix& route) const {
-  return !trie_.covering(route).empty();
+  bool any = false;
+  trie_.for_each_covering(route, [&any](const net::Prefix&, const std::vector<Vrp>&) {
+    any = true;
+  });
+  return any;
 }
 
 }  // namespace ripki::rpki

@@ -7,9 +7,12 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <iterator>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -66,14 +69,23 @@ class PrefixTrie {
   /// shortest first ("all covering prefixes" of methodology step 3).
   std::vector<Match> covering(const net::Prefix& target) const {
     std::vector<Match> out;
+    for_each_covering(target, [&out](const net::Prefix& prefix, const V& value) {
+      out.push_back({prefix, &value});
+    });
+    return out;
+  }
+
+  /// Calls `fn(prefix, value)` for each stored prefix covering `target`,
+  /// shortest first — covering() without the result vector.
+  template <typename Fn>
+  void for_each_covering(const net::Prefix& target, Fn&& fn) const {
     const Node* node = root_of(target.family());
     while (node != nullptr && node->key.length() <= target.length()) {
       if (common_prefix_length(node->key, target) < node->key.length()) break;
-      if (node->value.has_value()) out.push_back({node->key, &*node->value});
+      if (node->value.has_value()) fn(node->key, *node->value);
       if (node->key.length() == target.length()) break;
       node = child_of(node, target.address().bit(node->key.length()));
     }
-    return out;
   }
 
   /// Longest-prefix match for `addr`, or nullopt when nothing covers it.
@@ -170,14 +182,32 @@ class PrefixTrie {
     /// `node`. kNoNode yields an empty list.
     std::vector<Match> path_matches(std::uint32_t node) const {
       std::vector<Match> out;
+      for_each_path_match(node, [&out](const net::Prefix& prefix, const V& value) {
+        out.push_back({prefix, &value});
+      });
+      return out;
+    }
+
+    /// Calls `fn(prefix, value)` for each valued match on the root ->
+    /// `node` path, shortest prefix first — path_matches() without the
+    /// result vector.
+    template <typename Fn>
+    void for_each_path_match(std::uint32_t node, Fn&& fn) const {
+      // Key lengths strictly grow down a path, so it holds at most one
+      // node per length 0..128.
+      std::uint32_t path[129];
+      std::size_t depth = 0;
       for (std::uint32_t index = node; index != kNoNode;
            index = nodes_[index].parent) {
         if (nodes_[index].value != nullptr) {
-          out.push_back({nodes_[index].key, nodes_[index].value});
+          assert(depth < std::size(path));
+          path[depth++] = index;
         }
       }
-      std::reverse(out.begin(), out.end());
-      return out;
+      while (depth > 0) {
+        const FrozenNode& match = nodes_[path[--depth]];
+        fn(match.key, *match.value);
+      }
     }
 
     std::size_t memory_bytes() const {
@@ -220,12 +250,24 @@ class PrefixTrie {
   };
 
   /// Number of identical leading bits, capped at the shorter length.
+  /// Compares 64 bits at a time: the first set bit of the XOR of the
+  /// big-endian words is the first differing bit.
   static int common_prefix_length(const net::Prefix& a, const net::Prefix& b) {
     const int limit = std::min(a.length(), b.length());
-    for (int i = 0; i < limit; ++i) {
-      if (a.address().bit(i) != b.address().bit(i)) return i;
+    const std::uint8_t* x = a.address().bytes().data();
+    const std::uint8_t* y = b.address().bytes().data();
+    for (int word = 0; word * 64 < limit; ++word) {
+      const std::uint64_t diff = load_be64(x + 8 * word) ^ load_be64(y + 8 * word);
+      if (diff != 0) return std::min(limit, word * 64 + std::countl_zero(diff));
     }
     return limit;
+  }
+
+  static std::uint64_t load_be64(const std::uint8_t* bytes) {
+    std::uint64_t v;
+    std::memcpy(&v, bytes, sizeof v);
+    if constexpr (std::endian::native == std::endian::little) v = __builtin_bswap64(v);
+    return v;
   }
 
   std::unique_ptr<Node>& root_for(net::Family family) {

@@ -1,7 +1,9 @@
 #include "web/ecosystem.hpp"
 
 #include <cassert>
+#include <charconv>
 #include <cmath>
+#include <cstring>
 
 #include "dns/name.hpp"
 #include "util/strings.hpp"
@@ -570,11 +572,10 @@ net::IpAddress Ecosystem::server_address(std::uint32_t domain_index, bool www_va
 
 class EcosystemZoneSource final : public dns::ZoneSource {
  public:
-  EcosystemZoneSource(const Ecosystem* eco, Vantage vantage)
-      : eco_(eco), vantage_(vantage) {}
+  EcosystemZoneSource(const Ecosystem* eco, Vantage vantage);
 
-  std::vector<dns::ResourceRecord> lookup(const dns::DnsName& name,
-                                          dns::RecordType type) const override;
+  void lookup(const dns::DnsName& name, dns::RecordType type,
+              std::vector<dns::ResourceRecord>& out) const override;
   bool name_exists(const dns::DnsName& name) const override;
 
  private:
@@ -587,53 +588,88 @@ class EcosystemZoneSource final : public dns::ZoneSource {
 
   Parsed parse(const dns::DnsName& name) const;
   dns::DnsName chain_name(std::uint32_t index, bool www, int hop) const;
-  std::vector<dns::ResourceRecord> address_records(const Parsed& parsed,
-                                                   const dns::DnsName& owner,
-                                                   dns::RecordType type) const;
+  void address_records(const Parsed& parsed, const dns::DnsName& owner,
+                       dns::RecordType type,
+                       std::vector<dns::ResourceRecord>& out) const;
 
   const Ecosystem* eco_;
   Vantage vantage_;
+  /// Zones the chain nodes live in, parsed once: the hosting-platform
+  /// zone and each CDN profile's CNAME suffixes.
+  dns::DnsName webhost_suffix_;
+  std::vector<std::vector<dns::DnsName>> cdn_suffixes_;
 };
+
+namespace {
+
+dns::DnsName must_parse_name(std::string_view text) {
+  auto name = dns::DnsName::parse(text);
+  assert(name.ok());
+  return name.value();
+}
+
+}  // namespace
+
+EcosystemZoneSource::EcosystemZoneSource(const Ecosystem* eco, Vantage vantage)
+    : eco_(eco),
+      vantage_(vantage),
+      webhost_suffix_(must_parse_name("cluster.webhost.example")) {
+  for (const CdnProfile& profile : paper_cdn_profiles()) {
+    auto& names = cdn_suffixes_.emplace_back();
+    for (const std::string& suffix : profile.cname_suffixes) {
+      names.push_back(must_parse_name(suffix));
+    }
+  }
+}
 
 EcosystemZoneSource::Parsed EcosystemZoneSource::parse(
     const dns::DnsName& name) const {
   Parsed out;
-  const auto& labels = name.labels();
-  if (labels.empty()) return out;
+  if (name.is_root()) return out;
+  const std::string_view first = name.label(0);
 
   // Chain node: first label "d<idx>-<w|a>-<hop>".
-  if (labels[0].size() >= 6 && labels[0][0] == 'd' &&
-      labels[0].find('-') != std::string::npos) {
-    const auto parts = util::split(labels[0], '-');
+  if (first.size() >= 6 && first[0] == 'd') {
+    const char* const end = first.data() + first.size();
     std::uint64_t idx = 0;
     std::uint64_t hop = 0;
-    if (parts.size() == 3 && parts[0].size() > 1 &&
-        util::parse_u64(std::string_view(parts[0]).substr(1), idx) &&
-        (parts[1] == "w" || parts[1] == "a") && util::parse_u64(parts[2], hop) &&
-        idx < eco_->plans_.size() && hop >= 1) {
-      const bool www = parts[1] == "w";
-      const DomainPlan& plan = eco_->plans_[static_cast<std::size_t>(idx)];
-      const HostVariant& variant = www ? plan.www : plan.apex;
-      if (hop <= variant.chain_hops &&
-          name == chain_name(static_cast<std::uint32_t>(idx), www,
-                             static_cast<int>(hop))) {
-        out.kind = Parsed::Kind::kChainNode;
-        out.domain_index = static_cast<std::uint32_t>(idx);
-        out.www = www;
-        out.hop = static_cast<int>(hop);
-        return out;
+    const auto [idx_end, idx_error] = std::from_chars(first.data() + 1, end, idx);
+    if (idx_error == std::errc() && end - idx_end > 3 && idx_end[0] == '-' &&
+        (idx_end[1] == 'w' || idx_end[1] == 'a') && idx_end[2] == '-') {
+      const auto [hop_end, hop_error] = std::from_chars(idx_end + 3, end, hop);
+      if (hop_error == std::errc() && hop_end == end &&
+          idx < eco_->plans_.size() && hop >= 1) {
+        const bool www = idx_end[1] == 'w';
+        const DomainPlan& plan = eco_->plans_[static_cast<std::size_t>(idx)];
+        const HostVariant& variant = www ? plan.www : plan.apex;
+        if (hop <= variant.chain_hops &&
+            name == chain_name(static_cast<std::uint32_t>(idx), www,
+                               static_cast<int>(hop))) {
+          out.kind = Parsed::Kind::kChainNode;
+          out.domain_index = static_cast<std::uint32_t>(idx);
+          out.www = www;
+          out.hop = static_cast<int>(hop);
+          return out;
+        }
       }
     }
   }
 
-  // Site name: apex or www.apex.
-  std::string apex = name.to_string();
-  bool www = false;
-  if (labels[0] == "www") {
-    www = true;
-    apex = apex.substr(4);  // strip "www."
+  // Site name: apex or www.apex. The apex goes to the index as dotted
+  // text rendered on the stack: each label's length byte becomes a dot.
+  const bool www = first == "www";
+  const auto wire = name.wire();
+  std::size_t at = www ? first.size() + 1 : 0;
+  char dotted[dns::DnsName::kMaxWire];
+  std::size_t length = 0;
+  while (at < wire.size()) {
+    if (length != 0) dotted[length++] = '.';
+    const std::size_t n = wire[at];
+    std::memcpy(dotted + length, wire.data() + at + 1, n);
+    length += n;
+    at += n + 1;
   }
-  const auto it = eco_->apex_index_.find(apex);
+  const auto it = eco_->apex_index_.find(std::string_view(dotted, length));
   if (it == eco_->apex_index_.end()) return out;
   out.kind = Parsed::Kind::kSite;
   out.domain_index = it->second;
@@ -647,31 +683,36 @@ dns::DnsName EcosystemZoneSource::chain_name(std::uint32_t index, bool www,
   const DomainPlan& plan = eco_->plans_[index];
   const HostVariant& variant = www ? plan.www : plan.apex;
 
-  std::string suffix = "cluster.webhost.example";  // hosting-platform chain
+  const dns::DnsName* suffix = &webhost_suffix_;  // hosting-platform chain
   if (plan.cdn_id != kNoCdn && variant.on_cdn) {
-    const auto& suffixes = paper_cdn_profiles()[plan.cdn_id].cname_suffixes;
+    const auto& suffixes = cdn_suffixes_[plan.cdn_id];
     // Terminal hop lands in the last suffix zone; earlier hops walk the
     // front of the list (edgesuite -> g.akamai style).
     if (hop >= variant.chain_hops) {
-      suffix = suffixes.back();
+      suffix = &suffixes.back();
     } else {
-      const std::size_t pos =
-          std::min(static_cast<std::size_t>(hop - 1), suffixes.size() - 1);
-      suffix = suffixes[pos];
+      suffix = &suffixes[std::min(static_cast<std::size_t>(hop - 1),
+                                  suffixes.size() - 1)];
     }
   }
-  const std::string label = "d" + std::to_string(index) + (www ? "-w-" : "-a-") +
-                            std::to_string(hop);
-  auto parsed = dns::DnsName::parse(label + "." + suffix);
-  assert(parsed.ok());
-  return parsed.value();
+  // "d<index>-w-<hop>" or "d<index>-a-<hop>"; each number gets room for
+  // its widest value (10 digits; 11 with a sign).
+  char label[32];
+  char* p = label;
+  *p++ = 'd';
+  p = std::to_chars(p, p + 10, index).ptr;
+  *p++ = '-';
+  *p++ = www ? 'w' : 'a';
+  *p++ = '-';
+  p = std::to_chars(p, p + 11, hop).ptr;
+  return suffix->prepended(std::string_view(label, static_cast<std::size_t>(p - label)));
 }
 
-std::vector<dns::ResourceRecord> EcosystemZoneSource::address_records(
-    const Parsed& parsed, const dns::DnsName& owner, dns::RecordType type) const {
+void EcosystemZoneSource::address_records(
+    const Parsed& parsed, const dns::DnsName& owner, dns::RecordType type,
+    std::vector<dns::ResourceRecord>& out) const {
   const DomainPlan& plan = eco_->plans_[parsed.domain_index];
   const HostVariant& variant = parsed.www ? plan.www : plan.apex;
-  std::vector<dns::ResourceRecord> out;
 
   if (plan.invalid_dns) {
     // Broken deployment: answers point into special-purpose space (these
@@ -682,7 +723,7 @@ std::vector<dns::ResourceRecord> EcosystemZoneSource::address_records(
                                     static_cast<std::uint8_t>(
                                         1 + parsed.domain_index % 250))));
     }
-    return out;
+    return;
   }
 
   // Vantage-dependent answer ordering (CDN request routing); the record
@@ -720,53 +761,50 @@ std::vector<dns::ResourceRecord> EcosystemZoneSource::address_records(
       out.push_back(dns::ResourceRecord::aaaa(owner, net::IpAddress::v6(bytes)));
     }
   }
-  return out;
 }
 
-std::vector<dns::ResourceRecord> EcosystemZoneSource::lookup(
-    const dns::DnsName& name, dns::RecordType type) const {
+void EcosystemZoneSource::lookup(const dns::DnsName& name, dns::RecordType type,
+                                 std::vector<dns::ResourceRecord>& out) const {
   const Parsed parsed = parse(name);
-  if (parsed.kind == Parsed::Kind::kNone) return {};
+  if (parsed.kind == Parsed::Kind::kNone) return;
 
   const DomainPlan& plan = eco_->plans_[parsed.domain_index];
   const HostVariant& variant = parsed.www ? plan.www : plan.apex;
+  const bool address_type =
+      type == dns::RecordType::kA || type == dns::RecordType::kAaaa;
 
   if (parsed.kind == Parsed::Kind::kSite) {
     // DNSKEY lives at the zone apex of signed domains.
     if (type == dns::RecordType::kDnskey) {
-      if (parsed.www || !plan.dnssec_signed) return {};
+      if (parsed.www || !plan.dnssec_signed) return;
       dns::DnskeyData key;
       const std::uint64_t h = util::hash_combine(eco_->config_.seed,
                                                  0xD1155EC + parsed.domain_index);
       key.public_key.assign(reinterpret_cast<const char*>(&h), sizeof h);
-      return {dns::ResourceRecord{name, dns::RecordType::kDnskey, 3600,
-                                  std::move(key)}};
+      out.push_back(dns::ResourceRecord{name, dns::RecordType::kDnskey, 3600,
+                                        std::move(key)});
+      return;
     }
     if (variant.chain_hops > 0 && !plan.invalid_dns) {
       if (type == dns::RecordType::kCname) {
-        return {dns::ResourceRecord::cname(
-            name, chain_name(parsed.domain_index, parsed.www, 1))};
+        out.push_back(dns::ResourceRecord::cname(
+            name, chain_name(parsed.domain_index, parsed.www, 1)));
       }
-      return {};
+      return;
     }
-    if (type == dns::RecordType::kA || type == dns::RecordType::kAaaa) {
-      return address_records(parsed, name, type);
-    }
-    return {};
+    if (address_type) address_records(parsed, name, type, out);
+    return;
   }
 
   // Chain node.
   if (parsed.hop < variant.chain_hops) {
     if (type == dns::RecordType::kCname) {
-      return {dns::ResourceRecord::cname(
-          name, chain_name(parsed.domain_index, parsed.www, parsed.hop + 1))};
+      out.push_back(dns::ResourceRecord::cname(
+          name, chain_name(parsed.domain_index, parsed.www, parsed.hop + 1)));
     }
-    return {};
+    return;
   }
-  if (type == dns::RecordType::kA || type == dns::RecordType::kAaaa) {
-    return address_records(parsed, name, type);
-  }
-  return {};
+  if (address_type) address_records(parsed, name, type, out);
 }
 
 bool EcosystemZoneSource::name_exists(const dns::DnsName& name) const {

@@ -2,7 +2,10 @@
 // CDN classifiers, the per-figure reports, and the paper's shape claims.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "core/classifiers.hpp"
+#include "core/export.hpp"
 #include "core/pipeline.hpp"
 #include "core/reports.hpp"
 #include "util/stats.hpp"
@@ -333,6 +336,50 @@ TEST_F(PipelineTest, MaxDomainsLimitsWork) {
   config.max_domains = 123;
   MeasurementPipeline limited(*eco_, config);
   EXPECT_EQ(limited.run().domains.size(), 123u);
+}
+
+// --- golden dataset -----------------------------------------------------------------
+
+/// 64-bit FNV-1a.
+std::uint64_t Fnv1a(std::string_view text) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const char c : text) h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
+  return h;
+}
+
+// The serial sweep of a fixed 4000-domain world, pinned to figures captured
+// before the DNS wire path lost its strings: every counter plus a digest of
+// the exported domain and pair CSVs. The parallel, delta and serve oracles
+// all compare two runs of the current code; this one compares against the
+// past, so a rewrite that changes what is measured fails here.
+TEST_F(PipelineTest, GoldenDatasetDigest) {
+  web::EcosystemConfig config = test_config();
+  config.domain_count = 4'000;
+  const auto eco = web::Ecosystem::generate(config);
+  MeasurementPipeline pipeline(*eco, PipelineConfig{});
+  const Dataset dataset = pipeline.run();
+
+  std::string counters;
+  dataset.counters.for_each_field([&](const char* name, std::uint64_t value) {
+    counters += std::string(name) + "=" + std::to_string(value) + "\n";
+  });
+  EXPECT_EQ(counters,
+            "domains_total=4000\n"
+            "domains_excluded_dns=6\n"
+            "dns_queries=25600\n"
+            "addresses_www=8983\n"
+            "addresses_apex=8730\n"
+            "special_purpose_excluded=12\n"
+            "unrouted_addresses=0\n"
+            "pairs_www=6345\n"
+            "pairs_apex=5899\n"
+            "as_set_entries_excluded=60\n"
+            "dnssec_signed_domains=72\n");
+
+  std::ostringstream csv;
+  export_domains_csv(dataset, csv);
+  export_pairs_csv(dataset, csv);
+  EXPECT_EQ(Fnv1a(csv.str()), 8540567919925375810ULL);
 }
 
 // --- VariantResult unit behaviour --------------------------------------------------

@@ -5,6 +5,7 @@
 #include "dns/resolver.hpp"
 #include "dns/server.hpp"
 #include "dns/zone.hpp"
+#include "util/strings.hpp"
 
 namespace ripki::dns {
 namespace {
@@ -19,12 +20,19 @@ net::IpAddress A4(const std::string& text) {
   return net::IpAddress::parse(text).value();
 }
 
+std::vector<ResourceRecord> Lookup(const ZoneSource& zone, const DnsName& name,
+                                   RecordType type) {
+  std::vector<ResourceRecord> out;
+  zone.lookup(name, type, out);
+  return out;
+}
+
 // --- DnsName -----------------------------------------------------------------
 
 TEST(DnsName, ParseLowercasesAndSplits) {
   const DnsName name = N("WWW.Example.COM");
   ASSERT_EQ(name.label_count(), 3u);
-  EXPECT_EQ(name.labels()[0], "www");
+  EXPECT_EQ(name.label(0), "www");
   EXPECT_EQ(name.to_string(), "www.example.com");
 }
 
@@ -200,6 +208,146 @@ TEST(Message, RcodeSurvivesRoundTrip) {
   EXPECT_EQ(decoded.value().rcode, Rcode::kNxDomain);
 }
 
+// --- Golden wire bytes ----------------------------------------------------------
+//
+// Encoder output pinned byte for byte, compression pointers included. The
+// hex strings were captured from the string-dictionary encoder this codec
+// replaced, so they check the rewrite against an independent oracle.
+
+std::string Hex(const util::Bytes& bytes) { return util::to_hex(bytes); }
+
+void ExpectSameMessage(const Message& a, const Message& b) {
+  EXPECT_EQ(a.id, b.id);
+  EXPECT_EQ(a.is_response, b.is_response);
+  EXPECT_EQ(a.authoritative, b.authoritative);
+  EXPECT_EQ(a.truncated, b.truncated);
+  EXPECT_EQ(a.recursion_desired, b.recursion_desired);
+  EXPECT_EQ(a.recursion_available, b.recursion_available);
+  EXPECT_EQ(a.rcode, b.rcode);
+  EXPECT_EQ(a.questions, b.questions);
+  EXPECT_EQ(a.answers, b.answers);
+  EXPECT_EQ(a.authority, b.authority);
+  EXPECT_EQ(a.additional, b.additional);
+}
+
+TEST(Message, GoldenWireBytes) {
+  // One-question query.
+  const Message query = Message::query(0x1234, N("www.example.com"), RecordType::kA);
+
+  // 2-hop CNAME chain whose suffixes compress against the question and
+  // against each other.
+  Message chain;
+  chain.id = 0x2222;
+  chain.is_response = true;
+  chain.authoritative = true;
+  chain.questions.push_back(Question{N("www.shop.example.com"), RecordType::kA});
+  chain.answers.push_back(ResourceRecord::cname(
+      N("www.shop.example.com"), N("shop.example.com.edgesuite.net")));
+  chain.answers.push_back(ResourceRecord::cname(N("shop.example.com.edgesuite.net"),
+                                                N("a495.g.akamai.net"), 120));
+  chain.answers.push_back(ResourceRecord::a(N("a495.g.akamai.net"), A4("192.0.2.7"), 20));
+  chain.answers.push_back(ResourceRecord::a(N("a495.g.akamai.net"), A4("192.0.2.8"), 20));
+
+  // Every record type the codec knows.
+  Message all;
+  all.id = 0xBEEF;
+  all.is_response = true;
+  all.authoritative = true;
+  all.recursion_available = true;
+  all.questions.push_back(Question{N("example.org"), RecordType::kDnskey});
+  all.answers.push_back(ResourceRecord::a(N("host.example.org"), A4("198.51.100.4"), 60));
+  all.answers.push_back(
+      ResourceRecord::aaaa(N("host.example.org"), A4("2001:db8::4"), 60));
+  all.answers.push_back(ResourceRecord{N("example.org"), RecordType::kDnskey, 3600,
+                                       DnskeyData{257, 3, 8, "keybytes"}});
+  all.authority.push_back(ResourceRecord{N("example.org"), RecordType::kNs, 86400,
+                                         N("ns1.example.org")});
+  all.authority.push_back(ResourceRecord{
+      N("example.org"), RecordType::kSoa, 3600,
+      SoaData{N("ns1.example.org"), N("hostmaster.example.org"), 2015010101, 7200,
+              900, 1209600, 300}});
+  all.additional.push_back(ResourceRecord{N("example.org"), RecordType::kTxt, 300,
+                                          std::string("v=spf1 -all")});
+
+  const struct {
+    const char* what;
+    const Message& message;
+    const char* hex;
+  } cases[] = {
+      {"query", query,
+       "12340100000100000000000003777777076578616d706c6503636f6d00000100"
+       "01"},
+      {"cname chain", chain,
+       "222285000001000400000000037777770473686f70076578616d706c6503636f"
+       "6d0000010001c00c000500010000012c00200473686f70076578616d706c6503"
+       "636f6d09656467657375697465036e657400c032000500010000007800100461"
+       "343935016706616b616d6169c04dc05e00010001000000140004c0000207c05e"
+       "00010001000000140004c0000208"},
+      {"all types", all,
+       "beef85800001000300020001076578616d706c65036f7267000030000104686f"
+       "7374c00c000100010000003c0004c6336404c01d001c00010000003c00102001"
+       "0db8000000000000000000000004c00c0030000100000e10000c010103086b65"
+       "796279746573c00c00020001000151800006036e7331c00cc00c000600010000"
+       "0e100023c0720a686f73746d6173746572c00c781a9d3500001c200000038400"
+       "1275000000012cc00c001000010000012c000c0b763d73706631202d616c6c"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.what);
+    const util::Bytes bytes = encode(c.message);
+    EXPECT_EQ(Hex(bytes), c.hex);
+    auto decoded = decode(bytes);
+    ASSERT_TRUE(decoded.ok()) << decoded.error().message;
+    ExpectSameMessage(decoded.value(), c.message);
+  }
+
+  // The 40-answer response, as truncated UDP and as its TCP form.
+  InMemoryZoneDb zones;
+  for (int i = 0; i < 40; ++i) {
+    zones.add(ResourceRecord::a(N("many.example.com"),
+                                A4("192.0.2." + std::to_string(i + 1))));
+  }
+  const AuthoritativeServer server(&zones);
+  const util::Bytes many_query =
+      encode(Message::query(0x0505, N("many.example.com"), RecordType::kA));
+  const util::Bytes udp = server.handle_datagram(many_query);
+  const util::Bytes tcp = server.handle_stream(many_query);
+  EXPECT_EQ(Hex(udp),
+            "050587000001000000000000046d616e79076578616d706c6503636f6d000001"
+            "0001");
+  EXPECT_EQ(Hex(tcp),
+            "050585000001002800000000046d616e79076578616d706c6503636f6d000001"
+            "0001c00c000100010000012c0004c0000201c00c000100010000012c0004c000"
+            "0202c00c000100010000012c0004c0000203c00c000100010000012c0004c000"
+            "0204c00c000100010000012c0004c0000205c00c000100010000012c0004c000"
+            "0206c00c000100010000012c0004c0000207c00c000100010000012c0004c000"
+            "0208c00c000100010000012c0004c0000209c00c000100010000012c0004c000"
+            "020ac00c000100010000012c0004c000020bc00c000100010000012c0004c000"
+            "020cc00c000100010000012c0004c000020dc00c000100010000012c0004c000"
+            "020ec00c000100010000012c0004c000020fc00c000100010000012c0004c000"
+            "0210c00c000100010000012c0004c0000211c00c000100010000012c0004c000"
+            "0212c00c000100010000012c0004c0000213c00c000100010000012c0004c000"
+            "0214c00c000100010000012c0004c0000215c00c000100010000012c0004c000"
+            "0216c00c000100010000012c0004c0000217c00c000100010000012c0004c000"
+            "0218c00c000100010000012c0004c0000219c00c000100010000012c0004c000"
+            "021ac00c000100010000012c0004c000021bc00c000100010000012c0004c000"
+            "021cc00c000100010000012c0004c000021dc00c000100010000012c0004c000"
+            "021ec00c000100010000012c0004c000021fc00c000100010000012c0004c000"
+            "0220c00c000100010000012c0004c0000221c00c000100010000012c0004c000"
+            "0222c00c000100010000012c0004c0000223c00c000100010000012c0004c000"
+            "0224c00c000100010000012c0004c0000225c00c000100010000012c0004c000"
+            "0226c00c000100010000012c0004c0000227c00c000100010000012c0004c000"
+            "0228");
+  for (const util::Bytes* bytes : {&udp, &tcp}) {
+    auto decoded = decode(*bytes);
+    ASSERT_TRUE(decoded.ok()) << decoded.error().message;
+    EXPECT_EQ(encode(decoded.value()), *bytes);
+  }
+  auto udp_message = decode(udp);
+  ASSERT_TRUE(udp_message.ok());
+  EXPECT_TRUE(udp_message.value().truncated);
+  EXPECT_TRUE(udp_message.value().answers.empty());
+}
+
 // --- Zone DB + server -----------------------------------------------------------------
 
 class ServerTest : public ::testing::Test {
@@ -371,8 +519,8 @@ TEST(ZoneDb, CountsRecords) {
   EXPECT_EQ(zones.record_count(), 2u);
   EXPECT_TRUE(zones.name_exists(N("a.example")));
   EXPECT_FALSE(zones.name_exists(N("b.example")));
-  EXPECT_EQ(zones.lookup(N("a.example"), RecordType::kA).size(), 2u);
-  EXPECT_TRUE(zones.lookup(N("a.example"), RecordType::kAaaa).empty());
+  EXPECT_EQ(Lookup(zones, N("a.example"), RecordType::kA).size(), 2u);
+  EXPECT_TRUE(Lookup(zones, N("a.example"), RecordType::kAaaa).empty());
 }
 
 // --- Overlay zone (incremental pipeline's churn layer) -----------------------
@@ -389,7 +537,7 @@ class OverlayZoneTest : public ::testing::Test {
 };
 
 TEST_F(OverlayZoneTest, PassesThroughUntouchedNames) {
-  EXPECT_EQ(overlay_.lookup(N("www.site.example"), RecordType::kA).size(), 1u);
+  EXPECT_EQ(Lookup(overlay_, N("www.site.example"), RecordType::kA).size(), 1u);
   EXPECT_TRUE(overlay_.name_exists(N("site.example")));
   EXPECT_FALSE(overlay_.name_exists(N("gone.example")));
   EXPECT_EQ(overlay_.serial(), 0u);
@@ -399,7 +547,7 @@ TEST_F(OverlayZoneTest, PassesThroughUntouchedNames) {
 TEST_F(OverlayZoneTest, SuppressionYieldsNxDomainAndIsReversible) {
   overlay_.suppress(N("www.site.example"));
   EXPECT_FALSE(overlay_.name_exists(N("www.site.example")));
-  EXPECT_TRUE(overlay_.lookup(N("www.site.example"), RecordType::kA).empty());
+  EXPECT_TRUE(Lookup(overlay_, N("www.site.example"), RecordType::kA).empty());
   EXPECT_EQ(overlay_.serial(), 1u);
 
   // The server over the overlay must answer NXDOMAIN, not an empty NOERROR.
@@ -410,7 +558,7 @@ TEST_F(OverlayZoneTest, SuppressionYieldsNxDomainAndIsReversible) {
   EXPECT_EQ(r.value().rcode, Rcode::kNxDomain);
 
   overlay_.unsuppress(N("www.site.example"));
-  EXPECT_EQ(overlay_.lookup(N("www.site.example"), RecordType::kA).size(), 1u);
+  EXPECT_EQ(Lookup(overlay_, N("www.site.example"), RecordType::kA).size(), 1u);
   EXPECT_EQ(overlay_.serial(), 2u);
 }
 
@@ -420,14 +568,14 @@ TEST_F(OverlayZoneTest, OverrideFullyMasksBaseForThatName) {
   overlay_.set_records(
       N("www.site.example"),
       {ResourceRecord::cname(N("www.site.example"), N("edge.cdn.example"))});
-  EXPECT_TRUE(overlay_.lookup(N("www.site.example"), RecordType::kA).empty());
-  EXPECT_EQ(overlay_.lookup(N("www.site.example"), RecordType::kCname).size(),
+  EXPECT_TRUE(Lookup(overlay_, N("www.site.example"), RecordType::kA).empty());
+  EXPECT_EQ(Lookup(overlay_, N("www.site.example"), RecordType::kCname).size(),
             1u);
   // Other names are untouched.
-  EXPECT_EQ(overlay_.lookup(N("site.example"), RecordType::kA).size(), 1u);
+  EXPECT_EQ(Lookup(overlay_, N("site.example"), RecordType::kA).size(), 1u);
 
   overlay_.clear_records(N("www.site.example"));
-  EXPECT_EQ(overlay_.lookup(N("www.site.example"), RecordType::kA).size(), 1u);
+  EXPECT_EQ(Lookup(overlay_, N("www.site.example"), RecordType::kA).size(), 1u);
 }
 
 TEST_F(OverlayZoneTest, SerialBumpsOnlyOnEffectiveMutation) {
@@ -466,10 +614,10 @@ TEST_F(OverlayZoneTest, SuppressionMasksOverrides) {
                        {ResourceRecord::a(N("www.site.example"), A4("192.0.2.50"))});
   overlay_.suppress(N("www.site.example"));
   EXPECT_FALSE(overlay_.name_exists(N("www.site.example")));
-  EXPECT_TRUE(overlay_.lookup(N("www.site.example"), RecordType::kA).empty());
+  EXPECT_TRUE(Lookup(overlay_, N("www.site.example"), RecordType::kA).empty());
   // Unsuppressing re-exposes the override, not the base record.
   overlay_.unsuppress(N("www.site.example"));
-  const auto records = overlay_.lookup(N("www.site.example"), RecordType::kA);
+  const auto records = Lookup(overlay_, N("www.site.example"), RecordType::kA);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(std::get<net::IpAddress>(records[0].rdata), A4("192.0.2.50"));
 }

@@ -761,7 +761,10 @@ TEST_F(ServeServiceTest, PrefixOutcomeMatchesValidatorOracle) {
 
   std::size_t checked = 0;
   for (std::size_t i = 0; i < dataset_->domains.size() && checked < 50; i += 41) {
-    for (const core::PrefixAsPair& pair : dataset_->domains[i].primary().pairs) {
+    // domains[i] materialises a record by value; keep it alive while its
+    // pairs are iterated.
+    const auto record = dataset_->domains[i];
+    for (const core::PrefixAsPair& pair : record.primary().pairs) {
       const std::string target = "/v1/prefix/" + pair.prefix.to_string() + "/" +
                                  std::to_string(pair.origin.value());
       const HttpResponse response = service.handle(get(target));
