@@ -158,22 +158,13 @@ bool DomainTable::RecordView::operator==(const DomainRecord& other) const {
          apex == other.apex;
 }
 
-DomainTable& DomainTable::operator=(const DomainTable& other) {
-  if (this != &other) {
-    clear();
-    append_table(other);
-  }
-  return *this;
-}
-
 void DomainTable::VariantColumns::reserve(std::size_t rows) {
   address_count.reserve(rows);
   special_excluded.reserve(rows);
   unrouted.reserve(rows);
   cname_hops.reserve(rows);
   terminal_cname.reserve(rows);
-  pair_begin.reserve(rows);
-  pair_count.reserve(rows);
+  pairs.reserve(rows);
 }
 
 void DomainTable::VariantColumns::clear() {
@@ -182,8 +173,7 @@ void DomainTable::VariantColumns::clear() {
   unrouted.clear();
   cname_hops.clear();
   terminal_cname.clear();
-  pair_begin.clear();
-  pair_count.clear();
+  pairs.clear();
 }
 
 std::size_t DomainTable::VariantColumns::memory_bytes() const {
@@ -192,17 +182,18 @@ std::size_t DomainTable::VariantColumns::memory_bytes() const {
          unrouted.capacity() * sizeof(unrouted[0]) +
          cname_hops.capacity() * sizeof(cname_hops[0]) +
          terminal_cname.capacity() * sizeof(terminal_cname[0]) +
-         pair_begin.capacity() * sizeof(pair_begin[0]) +
-         pair_count.capacity() * sizeof(pair_count[0]);
+         pairs.capacity() * sizeof(pairs[0]);
 }
 
-void DomainTable::reserve(std::size_t rows, std::size_t pairs_hint) {
+void DomainTable::reserve(std::size_t rows, std::size_t pairs_hint,
+                          std::size_t chars_hint) {
   rank_.reserve(rows);
   name_.reserve(rows);
   flags_.reserve(rows);
   www_.reserve(rows);
   apex_.reserve(rows);
   if (pairs_hint != 0) pairs_.reserve(pairs_hint);
+  if (chars_hint != 0) chars_.reserve(chars_hint);
 }
 
 void DomainTable::clear() {
@@ -212,7 +203,15 @@ void DomainTable::clear() {
   www_.clear();
   apex_.clear();
   pairs_.clear();
-  names_.clear();
+  chars_.clear();
+}
+
+DomainTable::Slot DomainTable::append_text(std::string_view text) {
+  assert(chars_.size() + text.size() <= 0xFFFFFFFFu && "char pool full");
+  const Slot slot{static_cast<std::uint32_t>(chars_.size()),
+                  static_cast<std::uint32_t>(text.size())};
+  chars_.insert(chars_.end(), text.begin(), text.end());
+  return slot;
 }
 
 void DomainTable::append_variant(VariantColumns& columns,
@@ -221,12 +220,9 @@ void DomainTable::append_variant(VariantColumns& columns,
   columns.special_excluded.push_back(variant.special_purpose_excluded);
   columns.unrouted.push_back(variant.unrouted_addresses);
   columns.cname_hops.push_back(variant.cname_hops);
-  columns.terminal_cname.push_back(variant.terminal_cname.empty()
-                                       ? util::StringInterner::kNotFound
-                                       : names_.intern(variant.terminal_cname));
-  columns.pair_begin.push_back(static_cast<std::uint32_t>(pairs_.size()));
-  columns.pair_count.push_back(
-      static_cast<std::uint32_t>(variant.pairs.size()));
+  columns.terminal_cname.push_back(append_text(variant.terminal_cname));
+  columns.pairs.push_back(Slot{static_cast<std::uint32_t>(pairs_.size()),
+                               static_cast<std::uint32_t>(variant.pairs.size())});
   pairs_.insert(pairs_.end(), variant.pairs.begin(), variant.pairs.end());
 }
 
@@ -234,7 +230,7 @@ void DomainTable::append(std::uint32_t rank, std::string_view name,
                          bool excluded_dns, bool dnssec_signed,
                          const VariantResult& www, const VariantResult& apex) {
   rank_.push_back(rank);
-  name_.push_back(names_.intern(name));
+  name_.push_back(append_text(name));
   std::uint8_t flags = 0;
   if (www.resolved) flags |= kWwwResolved;
   if (apex.resolved) flags |= kApexResolved;
@@ -256,18 +252,26 @@ void DomainTable::set_variant(VariantColumns& columns, std::size_t index,
   columns.special_excluded[index] = variant.special_purpose_excluded;
   columns.unrouted[index] = variant.unrouted_addresses;
   columns.cname_hops[index] = variant.cname_hops;
-  columns.terminal_cname[index] = variant.terminal_cname.empty()
-                                      ? util::StringInterner::kNotFound
-                                      : names_.intern(variant.terminal_cname);
-  const auto count = static_cast<std::uint32_t>(variant.pairs.size());
-  if (count <= columns.pair_count[index]) {
-    std::copy(variant.pairs.begin(), variant.pairs.end(),
-              pairs_.begin() + columns.pair_begin[index]);
+
+  Slot& cname = columns.terminal_cname[index];
+  if (variant.terminal_cname.size() <= cname.count) {
+    std::copy(variant.terminal_cname.begin(), variant.terminal_cname.end(),
+              chars_.begin() + cname.begin);
+    cname.count = static_cast<std::uint32_t>(variant.terminal_cname.size());
   } else {
-    columns.pair_begin[index] = static_cast<std::uint32_t>(pairs_.size());
+    cname = append_text(variant.terminal_cname);
+  }
+
+  Slot& pairs = columns.pairs[index];
+  const auto count = static_cast<std::uint32_t>(variant.pairs.size());
+  if (count <= pairs.count) {
+    std::copy(variant.pairs.begin(), variant.pairs.end(),
+              pairs_.begin() + pairs.begin);
+  } else {
+    pairs.begin = static_cast<std::uint32_t>(pairs_.size());
     pairs_.insert(pairs_.end(), variant.pairs.begin(), variant.pairs.end());
   }
-  columns.pair_count[index] = count;
+  pairs.count = count;
 }
 
 void DomainTable::set_row(std::size_t index, bool excluded_dns,
@@ -284,52 +288,47 @@ void DomainTable::set_row(std::size_t index, bool excluded_dns,
   set_variant(apex_, index, apex);
 }
 
+namespace {
+
+/// Appends `src` to `dst` (column insert, no per-element work).
+template <typename T>
+void append_column(std::vector<T>& dst, const std::vector<T>& src) {
+  dst.insert(dst.end(), src.begin(), src.end());
+}
+
+}  // namespace
+
 void DomainTable::append_table(const DomainTable& other) {
-  const std::size_t rows = other.size();
-  if (rows == 0) return;
-  reserve(size() + rows, pairs_.size() + other.pairs_.size());
-
-  // Re-intern the fragment's strings in id order (= first-appearance
-  // order). With empty-prefix tables merged in shard order this replays
-  // the exact intern sequence a serial run would have produced.
-  std::vector<NameId> remap(other.names_.size());
-  for (std::size_t id = 0; id < other.names_.size(); ++id) {
-    remap[id] = names_.intern(other.names_.view(id));
-  }
-  const auto remap_id = [&](NameId id) {
-    return id == util::StringInterner::kNotFound
-               ? util::StringInterner::kNotFound
-               : remap[id];
-  };
-
-  rank_.insert(rank_.end(), other.rank_.begin(), other.rank_.end());
-  flags_.insert(flags_.end(), other.flags_.begin(), other.flags_.end());
-  for (const NameId id : other.name_) name_.push_back(remap_id(id));
-
-  const auto append_columns = [&](VariantColumns& dst,
-                                  const VariantColumns& src,
-                                  std::uint32_t pair_offset) {
-    dst.address_count.insert(dst.address_count.end(),
-                             src.address_count.begin(),
-                             src.address_count.end());
-    dst.special_excluded.insert(dst.special_excluded.end(),
-                                src.special_excluded.begin(),
-                                src.special_excluded.end());
-    dst.unrouted.insert(dst.unrouted.end(), src.unrouted.begin(),
-                        src.unrouted.end());
-    dst.cname_hops.insert(dst.cname_hops.end(), src.cname_hops.begin(),
-                          src.cname_hops.end());
-    for (const NameId id : src.terminal_cname)
-      dst.terminal_cname.push_back(remap_id(id));
-    for (const std::uint32_t begin : src.pair_begin)
-      dst.pair_begin.push_back(begin + pair_offset);
-    dst.pair_count.insert(dst.pair_count.end(), src.pair_count.begin(),
-                          src.pair_count.end());
-  };
+  if (other.empty()) return;
+  assert(chars_.size() + other.chars_.size() <= 0xFFFFFFFFu &&
+         pairs_.size() + other.pairs_.size() <= 0xFFFFFFFFu && "pool full");
+  const auto char_offset = static_cast<std::uint32_t>(chars_.size());
   const auto pair_offset = static_cast<std::uint32_t>(pairs_.size());
-  append_columns(www_, other.www_, pair_offset);
-  append_columns(apex_, other.apex_, pair_offset);
-  pairs_.insert(pairs_.end(), other.pairs_.begin(), other.pairs_.end());
+  const auto append_rebased = [](std::vector<Slot>& dst,
+                                 const std::vector<Slot>& src,
+                                 std::uint32_t offset) {
+    const std::size_t at = dst.size();
+    append_column(dst, src);
+    for (std::size_t i = at; i < dst.size(); ++i) dst[i].begin += offset;
+  };
+
+  const auto append_variants = [&](VariantColumns& dst,
+                                   const VariantColumns& src) {
+    append_column(dst.address_count, src.address_count);
+    append_column(dst.special_excluded, src.special_excluded);
+    append_column(dst.unrouted, src.unrouted);
+    append_column(dst.cname_hops, src.cname_hops);
+    append_rebased(dst.terminal_cname, src.terminal_cname, char_offset);
+    append_rebased(dst.pairs, src.pairs, pair_offset);
+  };
+
+  append_column(rank_, other.rank_);
+  append_rebased(name_, other.name_, char_offset);
+  append_column(flags_, other.flags_);
+  append_variants(www_, other.www_);
+  append_variants(apex_, other.apex_);
+  append_column(chars_, other.chars_);
+  append_column(pairs_, other.pairs_);
 }
 
 DomainTable::VariantView DomainTable::variant_view(
@@ -340,12 +339,10 @@ DomainTable::VariantView DomainTable::variant_view(
   view.special_purpose_excluded = columns.special_excluded[index];
   view.unrouted_addresses = columns.unrouted[index];
   view.cname_hops = columns.cname_hops[index];
-  const NameId cname = columns.terminal_cname[index];
-  view.terminal_cname = cname == util::StringInterner::kNotFound
-                            ? std::string_view()
-                            : names_.view(cname);
-  view.pairs = std::span<const PrefixAsPair>(
-      pairs_.data() + columns.pair_begin[index], columns.pair_count[index]);
+  view.terminal_cname = text(columns.terminal_cname[index]);
+  const Slot pairs = columns.pairs[index];
+  view.pairs =
+      std::span<const PrefixAsPair>(pairs_.data() + pairs.begin, pairs.count);
   return view;
 }
 
@@ -353,7 +350,7 @@ DomainTable::RecordView DomainTable::view(std::size_t index) const {
   assert(index < size());
   RecordView view;
   view.rank = rank_[index];
-  view.name = names_.view(name_[index]);
+  view.name = text(name_[index]);
   const std::uint8_t flags = flags_[index];
   view.excluded_dns = (flags & kExcludedDns) != 0;
   view.dnssec_signed = (flags & kDnssecSigned) != 0;
@@ -367,7 +364,7 @@ std::size_t DomainTable::memory_bytes() const {
          name_.capacity() * sizeof(name_[0]) +
          flags_.capacity() * sizeof(flags_[0]) + www_.memory_bytes() +
          apex_.memory_bytes() + pairs_.capacity() * sizeof(pairs_[0]) +
-         names_.memory_bytes();
+         chars_.capacity();
 }
 
 bool DomainTable::operator==(const DomainTable& other) const {

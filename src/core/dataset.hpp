@@ -5,12 +5,13 @@
 // AS pair ... (iii) annotated with RPKI origin validation outcome" (§3).
 //
 // Storage is a flat structure-of-arrays (DomainTable): parallel columns of
-// interned-name ids, ranks, packed flags, and a CSR pool of prefix-AS
-// pairs. At the paper's real N (1M domains) this keeps the whole dataset
-// in a few hundred MB of contiguous memory instead of a million
-// heap-fragmented AoS records. Readers get cheap AoS-shaped views
-// (DomainTable::RecordView / VariantView); DomainRecord remains as the
-// materialized exchange struct for code that wants to own a record.
+// ranks and packed flags, one char pool holding every name and terminal
+// CNAME, and one CSR pool of prefix-AS pairs. At the paper's real N (1M
+// domains) this keeps the whole dataset in a few hundred MB of contiguous
+// memory instead of a million heap-fragmented AoS records. Readers get
+// cheap AoS-shaped views (DomainTable::RecordView / VariantView);
+// DomainRecord remains as the materialized exchange struct for code that
+// wants to own a record.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +22,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/interner.hpp"
 #include "net/asn.hpp"
 #include "net/prefix.hpp"
 #include "rpki/origin_validation.hpp"
@@ -104,14 +104,14 @@ struct DomainRecord {
 };
 
 /// Flat SoA storage for domain records: parallel fixed-width columns plus
-/// one CSR pair pool, names collapsed through a StringInterner. Appends
-/// are single-threaded by design; the parallel sweep appends into
-/// per-shard tables and merges them in shard order (append_table), which
-/// reproduces the serial table exactly — interner ids included.
+/// two CSR pools — chars for apex names and terminal CNAMEs, pairs for the
+/// prefix-AS lists — each cell addressing its pool by a (begin, count)
+/// slot. Appends are single-threaded by design; the parallel sweep
+/// appends into per-shard tables and merges them in shard order
+/// (append_table), which reproduces the serial table exactly, both pools
+/// included. Copies are member-wise.
 class DomainTable {
  public:
-  using NameId = util::StringInterner::Id;
-
   /// Cheap view of one variant: scalars by value, strings and pairs as
   /// views into the table. Field names mirror VariantResult so reader
   /// code is shape-compatible with the old AoS records.
@@ -137,7 +137,8 @@ class DomainTable {
   };
 
   /// Cheap view of one record (no ownership; valid while the table
-  /// lives and is not mutated).
+  /// lives and is not mutated — an append or set_row may move the pools
+  /// and invalidate every outstanding view, names included).
   struct RecordView {
     std::uint32_t rank = 0;
     std::string_view name;
@@ -155,37 +156,37 @@ class DomainTable {
     bool operator==(const DomainRecord& other) const;
   };
 
-  DomainTable() = default;
-  DomainTable(DomainTable&&) = default;
-  DomainTable& operator=(DomainTable&&) = default;
-  DomainTable(const DomainTable& other) { append_table(other); }
-  DomainTable& operator=(const DomainTable& other);
-
   std::size_t size() const { return rank_.size(); }
   bool empty() const { return rank_.empty(); }
+  /// Pool sizes, slots leaked by set_row included.
   std::size_t pair_count() const { return pairs_.size(); }
+  std::size_t char_count() const { return chars_.size(); }
 
-  void reserve(std::size_t rows, std::size_t pairs_hint = 0);
+  void reserve(std::size_t rows, std::size_t pairs_hint = 0,
+               std::size_t chars_hint = 0);
   void clear();
 
   /// Appends one record (field-by-field copy into the columns).
   void append(const DomainRecord& record);
 
   /// Append without materializing a DomainRecord — the sweep's hot path.
+  /// `name` must not view into this table (the append may move the pool).
   void append(std::uint32_t rank, std::string_view name, bool excluded_dns,
               bool dnssec_signed, const VariantResult& www,
               const VariantResult& apex);
 
-  /// Appends every row of `other`, remapping its interner ids in id order
-  /// (= first-appearance order), so fragments merged in shard order yield
-  /// a table identical to serial row-by-row appends.
+  /// Appends every row of `other`: column inserts plus both pools, with
+  /// `other`'s slots rebased onto the end of this table's pools. Fragments
+  /// merged in shard order yield a table identical to serial row-by-row
+  /// appends.
   void append_table(const DomainTable& other);
 
   /// Rewrites an existing row in place (rank and name are immutable; the
-  /// incremental pipeline's row set is fixed). Pair lists reuse their CSR
-  /// slots when the new list fits, and otherwise relocate to the end of
-  /// the pool — the old slots leak until the next full rebuild, which is
-  /// the compaction trigger the delta path already tracks.
+  /// incremental pipeline's row set is fixed). Pair lists and terminal
+  /// CNAMEs reuse their pool slots when the new value fits, and otherwise
+  /// relocate to the end of the pool — the old slots leak until the next
+  /// full rebuild, which is the compaction trigger the delta path already
+  /// tracks.
   void set_row(std::size_t index, bool excluded_dns, bool dnssec_signed,
                const VariantResult& www, const VariantResult& apex);
 
@@ -194,16 +195,15 @@ class DomainTable {
   DomainRecord record(std::size_t index) const { return view(index).to_record(); }
 
   std::uint32_t rank(std::size_t index) const { return rank_[index]; }
-  std::string_view name(std::size_t index) const {
-    return names_.view(name_[index]);
-  }
+  std::string_view name(std::size_t index) const { return text(name_[index]); }
 
-  /// Approximate resident footprint of the columns + pools + interner,
-  /// for the bench's memory reporting.
+  /// Approximate resident footprint of the columns + pools, for the
+  /// bench's memory reporting.
   std::size_t memory_bytes() const;
 
-  /// Row-wise logical equality (names compared as strings, so two tables
-  /// built through different fragment orders still compare correctly).
+  /// Row-wise logical equality (names and pairs compared by value, so
+  /// tables whose pools differ by leaked set_row slots still compare
+  /// equal).
   bool operator==(const DomainTable& other) const;
 
   /// Forward iterator yielding RecordView by value — lets range-for code
@@ -232,16 +232,21 @@ class DomainTable {
   Iterator end() const { return Iterator(this, size()); }
 
  private:
-  /// Per-variant columns; pair lists live in the shared CSR pool as
-  /// [pair_begin, pair_begin + pair_count).
+  /// [begin, begin + count) in one of the pools.
+  struct Slot {
+    std::uint32_t begin = 0;
+    std::uint32_t count = 0;
+  };
+
+  /// Per-variant columns; the terminal CNAME is a slot in chars_ (count 0
+  /// when the variant resolved directly), the pair list one in pairs_.
   struct VariantColumns {
     std::vector<std::uint16_t> address_count;
     std::vector<std::uint16_t> special_excluded;
     std::vector<std::uint16_t> unrouted;
     std::vector<std::uint8_t> cname_hops;
-    std::vector<NameId> terminal_cname;
-    std::vector<std::uint32_t> pair_begin;
-    std::vector<std::uint32_t> pair_count;
+    std::vector<Slot> terminal_cname;
+    std::vector<Slot> pairs;
 
     void reserve(std::size_t rows);
     void clear();
@@ -253,6 +258,10 @@ class DomainTable {
   static constexpr std::uint8_t kExcludedDns = 1 << 2;
   static constexpr std::uint8_t kDnssecSigned = 1 << 3;
 
+  std::string_view text(Slot slot) const {
+    return std::string_view(chars_.data() + slot.begin, slot.count);
+  }
+  Slot append_text(std::string_view text);
   void append_variant(VariantColumns& columns, const VariantResult& variant);
   void set_variant(VariantColumns& columns, std::size_t index,
                    const VariantResult& variant);
@@ -260,12 +269,12 @@ class DomainTable {
                            bool resolved) const;
 
   std::vector<std::uint32_t> rank_;
-  std::vector<NameId> name_;
+  std::vector<Slot> name_;
   std::vector<std::uint8_t> flags_;
   VariantColumns www_;
   VariantColumns apex_;
   std::vector<PrefixAsPair> pairs_;
-  util::StringInterner names_;
+  std::vector<char> chars_;
 };
 
 struct PipelineCounters {

@@ -303,8 +303,14 @@ Dataset MeasurementPipeline::run() {
             measure_domain(i, kernel, shard_counters[shard], fragment);
           }
         });
-    obs::Span merge_span(config_.registry, "pipeline.run.sweep_merge");
-    dataset.domains.reserve(count);
+    obs::Span merge_span(config_.registry, "sweep_merge");
+    std::size_t pairs = 0;
+    std::size_t chars = 0;
+    for (const DomainTable& fragment : fragments) {
+      pairs += fragment.pair_count();
+      chars += fragment.char_count();
+    }
+    dataset.domains.reserve(count, pairs, chars);
     for (const DomainTable& fragment : fragments) {
       dataset.domains.append_table(fragment);
     }

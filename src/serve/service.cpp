@@ -149,7 +149,13 @@ void QueryService::stop() { server_.stop(); }
 
 void QueryService::publish(std::shared_ptr<const Snapshot> snapshot) {
   const std::uint64_t generation = snapshot ? snapshot->generation() : 0;
-  snapshot_.store(std::move(snapshot), std::memory_order_release);
+  {
+    // The old snapshot is released after the unlock: its last reference
+    // may be this one, and freeing it must not hold up readers.
+    const std::lock_guard lock(snapshot_mutex_);
+    snapshot_.swap(snapshot);
+  }
+  snapshot.reset();
   // Entries rendered from the previous snapshot are stale the moment the
   // swap lands; readers already past the cache keep their old snapshot
   // reference and stay internally consistent. In-flight zero-copy writes
@@ -161,7 +167,8 @@ void QueryService::publish(std::shared_ptr<const Snapshot> snapshot) {
 }
 
 std::shared_ptr<const Snapshot> QueryService::snapshot() const {
-  return snapshot_.load(std::memory_order_acquire);
+  const std::lock_guard lock(snapshot_mutex_);
+  return snapshot_;
 }
 
 std::uint64_t QueryService::cache_hits() const {
@@ -282,9 +289,7 @@ HttpResponse QueryService::handle(const HttpRequest& request) {
       response.headers.push_back({"Retry-After", "1"});
       endpoint = "rejected";
     } else {
-      const std::shared_ptr<const Snapshot> snapshot =
-          snapshot_.load(std::memory_order_acquire);
-      response = route(request, snapshot, &endpoint);
+      response = route(request, snapshot(), &endpoint);
     }
   }
 

@@ -25,15 +25,16 @@
 //                            ("/v1/prefix/10.0.0.0/16/65001")
 //   /v1/summary              rank-bin aggregates of the current snapshot
 //
-// Snapshot publication is RCU-style: publish() atomically swaps a
-// shared_ptr and invalidates the cache; in-flight requests finish on the
+// Snapshot publication is RCU-style: publish() swaps a shared_ptr under a
+// short mutex and invalidates the cache; each request copies the pointer
+// once under the same mutex, and in-flight requests finish on the
 // snapshot they already hold.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -158,7 +159,10 @@ class QueryService {
   std::vector<std::unique_ptr<AccessLog>> access_logs_;
   TokenBucketLimiter limiter_;  // shared: see QueryServiceOptions
   SlowRequestRecorder slow_;
-  std::atomic<std::shared_ptr<const Snapshot>> snapshot_;
+  /// Guards only the pointer copy and swap — a plain mutex, which thread
+  /// sanitizers model, unlike libstdc++'s atomic<shared_ptr> lock bit.
+  mutable std::mutex snapshot_mutex_;
+  std::shared_ptr<const Snapshot> snapshot_;
 
   // Pre-resolved metric handles (null when no registry).
   obs::Counter* requests_counter_ = nullptr;

@@ -1,6 +1,5 @@
 #include "serve/snapshot.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <set>
 #include <span>
@@ -139,16 +138,10 @@ std::shared_ptr<const Snapshot> Snapshot::build(const core::Dataset& dataset,
   snapshot->generation_ = generation;
   snapshot->parent_generation_ = parent_generation;
   snapshot->rank_space_ = dataset.rank_space;
-  snapshot->domains_.append_table(dataset.domains);
-
-  auto by_name = std::make_shared<std::vector<std::uint32_t>>();
-  by_name->resize(snapshot->domains_.size());
-  for (std::uint32_t i = 0; i < by_name->size(); ++i) (*by_name)[i] = i;
-  std::sort(by_name->begin(), by_name->end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              return snapshot->domains_.name(a) < snapshot->domains_.name(b);
-            });
-  snapshot->by_name_ = std::move(by_name);
+  snapshot->domains_ = dataset.domains;
+  const core::DomainTable& domains = snapshot->domains_;
+  snapshot->by_name_ = std::make_shared<const util::NameIndex>(
+      domains.size(), [&](std::uint32_t row) { return domains.name(row); });
 
   snapshot->routes_ = index_routes(rib);
   snapshot->vrps_ = std::make_shared<const rpki::VrpIndex>(vrps);
@@ -222,16 +215,13 @@ core::DomainTable::RecordView Snapshot::record_view(
 std::optional<core::DomainTable::RecordView> Snapshot::find_domain(
     std::string_view name) const {
   const core::DomainTable& domains = table();
-  const auto it = std::lower_bound(
-      by_name_->begin(), by_name_->end(), name,
-      [&](std::uint32_t index, std::string_view target) {
-        return domains.name(index) < target;
-      });
-  if (it == by_name_->end() || domains.name(*it) != name) return std::nullopt;
-  if (const auto overlay = overlay_.find(*it); overlay != overlay_.end()) {
+  const std::uint32_t row = by_name_->find(
+      name, [&](std::uint32_t index) { return domains.name(index); });
+  if (row == util::NameIndex::kAbsent) return std::nullopt;
+  if (const auto overlay = overlay_.find(row); overlay != overlay_.end()) {
     return record_view(overlay->second);
   }
-  return domains.view(*it);
+  return domains.view(row);
 }
 
 namespace {

@@ -1,9 +1,10 @@
 // Immutable query-serving view of one pipeline run.
 //
 // A Snapshot owns everything a lookup needs — a copy of the per-domain
-// dataset sorted for binary search, a prefix trie of announced routes
-// rebuilt from the RIB, and a VRP index rebuilt from the validated VRP
-// set — so it stays valid after the pipeline that produced it is gone.
+// dataset with an open-addressed name index over it, a prefix trie of
+// announced routes rebuilt from the RIB, and a VRP index rebuilt from the
+// validated VRP set — so it stays valid after the pipeline that produced
+// it is gone.
 // The service publishes each run's snapshot behind a shared_ptr that is
 // swapped atomically (RCU-style): readers grab a reference once per
 // request and keep a consistent view for its whole lifetime; the old
@@ -44,13 +45,15 @@
 #include "rpki/origin_validation.hpp"
 #include "rpki/vrp.hpp"
 #include "trie/prefix_trie.hpp"
+#include "util/name_index.hpp"
 
 namespace ripki::serve {
 
 class Snapshot {
  public:
   /// Builds the immutable view: copies `dataset.domains` (compact SoA
-  /// table, interned names), re-indexes the RIB's (prefix -> origin ASes)
+  /// table, flat name pool), indexes its names, re-indexes the RIB's
+  /// (prefix -> origin ASes)
   /// mapping, and rebuilds a VrpIndex from `vrps`. `generation` stamps
   /// every response from this snapshot; `parent_generation` records the
   /// lineage (0 for a from-scratch build) and must match between a delta
@@ -87,9 +90,9 @@ class Snapshot {
   /// the delta pipeline's compaction signal.
   std::size_t overlay_size() const { return overlay_.size(); }
 
-  /// O(log n) lookup by apex name; nullopt when absent. The view borrows
-  /// the snapshot (table or overlay record) — valid as long as this
-  /// snapshot is held.
+  /// O(1) lookup by apex name (one hash probe, first row wins on a
+  /// duplicate name); nullopt when absent. The view borrows the snapshot
+  /// (table or overlay record) — valid as long as this snapshot is held.
   std::optional<core::DomainTable::RecordView> find_domain(
       std::string_view name) const;
 
@@ -147,9 +150,9 @@ class Snapshot {
   /// index. unordered_map nodes are address-stable, so RecordViews can
   /// borrow the records across rehashes.
   std::unordered_map<std::uint32_t, core::DomainRecord> overlay_;
-  /// Row indices into the table, sorted by name for binary search.
-  /// Shared across the generation chain (names never change).
-  std::shared_ptr<const std::vector<std::uint32_t>> by_name_;
+  /// Name -> row index over the table. Shared across the generation
+  /// chain (names never change).
+  std::shared_ptr<const util::NameIndex> by_name_;
   /// Announced routes: origin ASes per prefix (AS_SET-terminated paths
   /// excluded, mirroring methodology step 3). Shared with the parent
   /// when the tick carried no RIB delta.

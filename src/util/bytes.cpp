@@ -4,16 +4,6 @@
 
 namespace ripki::util {
 
-void ByteWriter::put_u16(std::uint16_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-  buf_.push_back(static_cast<std::uint8_t>(v));
-}
-
-void ByteWriter::put_u32(std::uint32_t v) {
-  for (int shift = 24; shift >= 0; shift -= 8)
-    buf_.push_back(static_cast<std::uint8_t>(v >> shift));
-}
-
 void ByteWriter::put_u64(std::uint64_t v) {
   for (int shift = 56; shift >= 0; shift -= 8)
     buf_.push_back(static_cast<std::uint8_t>(v >> shift));
@@ -43,21 +33,6 @@ void ByteWriter::patch_u32(std::size_t offset, std::uint32_t v) {
 Result<std::uint8_t> ByteReader::u8() {
   if (remaining() < 1) return Err("byte reader: truncated u8");
   return data_[pos_++];
-}
-
-Result<std::uint16_t> ByteReader::u16() {
-  if (remaining() < 2) return Err("byte reader: truncated u16");
-  auto v = static_cast<std::uint16_t>((data_[pos_] << 8) | data_[pos_ + 1]);
-  pos_ += 2;
-  return v;
-}
-
-Result<std::uint32_t> ByteReader::u32() {
-  if (remaining() < 4) return Err("byte reader: truncated u32");
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v = (v << 8) | data_[pos_ + static_cast<std::size_t>(i)];
-  pos_ += 4;
-  return v;
 }
 
 Result<std::uint64_t> ByteReader::u64() {

@@ -26,8 +26,22 @@ class ByteWriter {
   explicit ByteWriter(Bytes&& reuse) : buf_(std::move(reuse)) { buf_.clear(); }
 
   void put_u8(std::uint8_t v) { buf_.push_back(v); }
-  void put_u16(std::uint16_t v);
-  void put_u32(std::uint32_t v);
+  // Per header field and per record in the DNS codec: one resize, then
+  // stores.
+  void put_u16(std::uint16_t v) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + 2);
+    buf_[at] = static_cast<std::uint8_t>(v >> 8);
+    buf_[at + 1] = static_cast<std::uint8_t>(v);
+  }
+  void put_u32(std::uint32_t v) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + 4);
+    buf_[at] = static_cast<std::uint8_t>(v >> 24);
+    buf_[at + 1] = static_cast<std::uint8_t>(v >> 16);
+    buf_[at + 2] = static_cast<std::uint8_t>(v >> 8);
+    buf_[at + 3] = static_cast<std::uint8_t>(v);
+  }
   void put_u64(std::uint64_t v);
   void put_bytes(std::span<const std::uint8_t> bytes);
   void put_string(std::string_view s);
@@ -56,8 +70,22 @@ class ByteReader {
   bool at_end() const { return remaining() == 0; }
 
   Result<std::uint8_t> u8();
-  Result<std::uint16_t> u16();
-  Result<std::uint32_t> u32();
+  Result<std::uint16_t> u16() {
+    if (remaining() < 2) return Err("byte reader: truncated u16");
+    const auto v =
+        static_cast<std::uint16_t>((data_[pos_] << 8) | data_[pos_ + 1]);
+    pos_ += 2;
+    return v;
+  }
+  Result<std::uint32_t> u32() {
+    if (remaining() < 4) return Err("byte reader: truncated u32");
+    const std::uint32_t v = (std::uint32_t{data_[pos_]} << 24) |
+                            (std::uint32_t{data_[pos_ + 1]} << 16) |
+                            (std::uint32_t{data_[pos_ + 2]} << 8) |
+                            std::uint32_t{data_[pos_ + 3]};
+    pos_ += 4;
+    return v;
+  }
   Result<std::uint64_t> u64();
   /// Copies out `n` bytes.
   Result<Bytes> bytes(std::size_t n);

@@ -449,14 +449,16 @@ void Ecosystem::build_domains(util::Prng& prng) {
   };
 
   plans_.reserve(config_.domain_count);
-  apex_index_.reserve(config_.domain_count * 2);
+  name_offsets_.reserve(config_.domain_count + 1);
 
   for (std::uint64_t i = 0; i < config_.domain_count; ++i) {
     DomainPlan plan;
     const std::uint64_t rank =
         i * config_.rank_space / config_.domain_count + 1;
     plan.rank = static_cast<std::uint32_t>(rank);
-    plan.name_id = names_.intern(domain_name_for_rank(config_.seed, rank));
+    const std::string name = domain_name_for_rank(config_.seed, rank);
+    name_chars_.insert(name_chars_.end(), name.begin(), name.end());
+    name_offsets_.push_back(static_cast<std::uint32_t>(name_chars_.size()));
     plan.has_ipv6 = prng.bernoulli(config_.ipv6_fraction);
     plan.invalid_dns = prng.bernoulli(config_.invalid_dns_fraction);
     plan.dnssec_signed = prng.bernoulli(rank_decay(
@@ -510,9 +512,10 @@ void Ecosystem::build_domains(util::Prng& prng) {
       plan.cdn_id = kNoCdn;
     }
 
-    apex_index_.emplace(names_.view(plan.name_id), static_cast<std::uint32_t>(i));
     plans_.push_back(std::move(plan));
   }
+  apex_index_ = util::NameIndex(
+      plans_.size(), [this](std::uint32_t index) { return plan_name(index); });
 }
 
 std::unique_ptr<Ecosystem> Ecosystem::generate(const EcosystemConfig& config) {
@@ -669,10 +672,12 @@ EcosystemZoneSource::Parsed EcosystemZoneSource::parse(
     length += n;
     at += n + 1;
   }
-  const auto it = eco_->apex_index_.find(std::string_view(dotted, length));
-  if (it == eco_->apex_index_.end()) return out;
+  const std::uint32_t index = eco_->apex_index_.find(
+      std::string_view(dotted, length),
+      [this](std::uint32_t i) { return eco_->plan_name(i); });
+  if (index == util::NameIndex::kAbsent) return out;
   out.kind = Parsed::Kind::kSite;
-  out.domain_index = it->second;
+  out.domain_index = index;
   out.www = www;
   out.hop = 0;
   return out;

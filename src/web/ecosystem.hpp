@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bgp/collector.hpp"
@@ -21,7 +20,7 @@
 #include "net/prefix.hpp"
 #include "rpki/repository.hpp"
 #include "rpki/tal.hpp"
-#include "util/interner.hpp"
+#include "util/name_index.hpp"
 #include "util/prng.hpp"
 #include "web/as_registry.hpp"
 #include "web/cdn.hpp"
@@ -155,11 +154,10 @@ struct HostVariant {
   bool on_cdn = false;
 };
 
+/// Hosting plan of one domain. Its apex name (e.g. "lunarforge481.com-web")
+/// lives in the ecosystem's flat name pool, not here — no heap string per
+/// plan at the 1M-domain scale. Read it with Ecosystem::plan_name().
 struct DomainPlan {
-  /// Apex name (e.g. "lunarforge481.com-web") as an id into the
-  /// ecosystem's interner — 4 bytes per plan instead of a heap string at
-  /// the 1M-domain scale. Resolve with Ecosystem::plan_name().
-  util::StringInterner::Id name_id = util::StringInterner::kNotFound;
   std::uint32_t rank = 0;
   std::uint8_t cdn_id = kNoCdn;
   bool invalid_dns = false;
@@ -194,10 +192,11 @@ class Ecosystem {
 
   std::size_t domain_count() const { return plans_.size(); }
   const DomainPlan& plan(std::size_t index) const { return plans_[index]; }
-  /// Apex name of plan `index` (view into the ecosystem's interner;
+  /// Apex name of plan `index` (view into the ecosystem's name pool;
   /// valid for the ecosystem's lifetime).
   std::string_view plan_name(std::size_t index) const {
-    return names_.view(plans_[index].name_id);
+    return std::string_view(name_chars_.data() + name_offsets_[index],
+                            name_offsets_[index + 1] - name_offsets_[index]);
   }
   const std::vector<PrefixRecord>& prefixes() const { return prefixes_; }
 
@@ -242,11 +241,13 @@ class Ecosystem {
   std::vector<rpki::TrustAnchor> anchors_;
   std::vector<rpki::Repository> repositories_;
   std::unique_ptr<bgp::RouteCollector> collector_;
-  /// Domain-name storage: every plan name interned once; apex_index_
-  /// keys view into it (declared before both so it outlives them).
-  util::StringInterner names_;
   std::vector<DomainPlan> plans_;
-  std::unordered_map<std::string_view, std::uint32_t> apex_index_;
+  /// Plan names back to back in plan order (CSR): plan i's name is
+  /// [name_offsets_[i], name_offsets_[i + 1]) of name_chars_.
+  std::vector<char> name_chars_;
+  std::vector<std::uint32_t> name_offsets_{0};
+  /// Apex name -> plan index, read back through plan_name().
+  util::NameIndex apex_index_;
 
   // Category index pools for random placement decisions.
   std::vector<std::uint32_t> isp_indices_;

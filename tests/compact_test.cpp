@@ -1,6 +1,7 @@
 // The compact core data layout behind the million-domain sweep:
-//  - util::Arena / util::StringInterner (arena-backed names, 32-bit ids)
-//  - core::DomainTable (SoA columns behind AoS-shaped views)
+//  - util::Arena (bump-pointer string storage)
+//  - core::DomainTable (SoA columns and flat pools behind AoS-shaped views)
+//  - util::NameIndex (open-addressed name -> row index over those pools)
 //  - trie::PrefixTrie<V>::Frozen (array-mapped covering walks) and the
 //    RIB's choice between the frozen image and the pointer walk
 #include <gtest/gtest.h>
@@ -18,7 +19,7 @@
 #include "net/prefix.hpp"
 #include "trie/prefix_trie.hpp"
 #include "util/arena.hpp"
-#include "util/interner.hpp"
+#include "util/name_index.hpp"
 #include "util/prng.hpp"
 #include "web/ecosystem.hpp"
 
@@ -50,45 +51,6 @@ TEST(Arena, OversizedAllocationGetsDedicatedBlock) {
   const std::string_view view = arena.store(big);
   EXPECT_EQ(view, big);
   EXPECT_GE(arena.bytes_used(), big.size());
-}
-
-// --- interner ----------------------------------------------------------------
-
-TEST(StringInterner, DeduplicatesAndAssignsDenseIds) {
-  util::StringInterner interner;
-  const auto a = interner.intern("alpha.example");
-  const auto b = interner.intern("beta.example");
-  const auto a2 = interner.intern("alpha.example");
-  EXPECT_EQ(a, 0u);
-  EXPECT_EQ(b, 1u);
-  EXPECT_EQ(a2, a);
-  EXPECT_EQ(interner.size(), 2u);
-  EXPECT_EQ(interner.view(a), "alpha.example");
-  EXPECT_EQ(interner.view(b), "beta.example");
-}
-
-TEST(StringInterner, FindDoesNotIntern) {
-  util::StringInterner interner;
-  EXPECT_EQ(interner.find("nothing"), util::StringInterner::kNotFound);
-  interner.intern("something");
-  EXPECT_EQ(interner.find("something"), 0u);
-  EXPECT_EQ(interner.find("nothing"), util::StringInterner::kNotFound);
-  EXPECT_EQ(interner.size(), 1u);
-}
-
-TEST(StringInterner, IdsAreStableUnderArenaGrowth) {
-  util::StringInterner interner;
-  std::vector<util::StringInterner::Id> ids;
-  for (int i = 0; i < 20'000; ++i) {
-    ids.push_back(interner.intern("domain-" + std::to_string(i) + ".example"));
-  }
-  // Dense first-appearance order; views unchanged after later interns.
-  for (int i = 0; i < 20'000; ++i) {
-    EXPECT_EQ(ids[static_cast<std::size_t>(i)], static_cast<unsigned>(i));
-    EXPECT_EQ(interner.view(ids[static_cast<std::size_t>(i)]),
-              "domain-" + std::to_string(i) + ".example");
-  }
-  EXPECT_GT(interner.memory_bytes(), 0u);
 }
 
 // --- DomainTable: SoA storage behind AoS views --------------------------------
@@ -170,16 +132,13 @@ TEST(DomainTable, AppendTableReproducesSerialOrder) {
 }
 
 TEST(DomainTable, EqualityIsLogicalNotIdBased) {
-  // Same rows interned in different orders -> different ids, equal tables.
+  // Equality compares rows by value, never pool offsets.
   const auto r1 = make_record(1, "one.example");
   const auto r2 = make_record(2, "two.example");
   core::DomainTable a;
   a.append(r1);
   a.append(r2);
   core::DomainTable b;
-  // Interning "two" first gives it id 0 in b's interner.
-  core::DomainTable scratch;
-  scratch.append(r2);
   b.append(r1);
   b.append(r2);
   EXPECT_TRUE(a == b);
@@ -187,6 +146,189 @@ TEST(DomainTable, EqualityIsLogicalNotIdBased) {
   c.append(r2);
   c.append(r1);
   EXPECT_FALSE(a == c);  // order matters
+}
+
+/// A record whose terminal CNAMEs vary in length with `rank` (0 to ~40
+/// chars), so every fragment's char pool has a different size.
+core::DomainRecord make_ragged_record(std::uint64_t rank) {
+  auto record = make_record(rank, "r" + std::to_string(rank * 7919) + ".example");
+  record.www.terminal_cname =
+      rank % 4 == 0 ? ""
+                    : std::string(rank % 29, 'e') + "." + std::to_string(rank) +
+                          ".cdn.example";
+  record.apex.terminal_cname = rank % 3 == 0 ? "a" + std::to_string(rank) : "";
+  return record;
+}
+
+TEST(DomainTable, AppendTableRebasesRaggedNameAndCnameOffsets) {
+  core::DomainTable direct;
+  std::vector<core::DomainTable> fragments(5);
+  std::vector<core::DomainRecord> originals;
+  for (std::uint64_t rank = 1; rank <= 97; ++rank) {
+    originals.push_back(make_ragged_record(rank));
+    direct.append(originals.back());
+    fragments[(rank * 5) / 98].append(originals.back());  // uneven cuts
+  }
+  core::DomainTable merged;
+  merged.append_table(core::DomainTable());  // empty fragments are no-ops
+  for (const auto& fragment : fragments) merged.append_table(fragment);
+
+  ASSERT_EQ(merged.size(), originals.size());
+  EXPECT_EQ(merged.char_count(), direct.char_count());
+  EXPECT_EQ(merged.pair_count(), direct.pair_count());
+  for (std::size_t i = 0; i < originals.size(); ++i) {
+    EXPECT_EQ(merged.name(i), originals[i].name) << i;
+    EXPECT_EQ(merged[i].www.terminal_cname, originals[i].www.terminal_cname) << i;
+    EXPECT_EQ(merged[i].apex.terminal_cname, originals[i].apex.terminal_cname) << i;
+    EXPECT_TRUE(merged[i] == originals[i]) << i;
+  }
+  EXPECT_TRUE(merged == direct);
+}
+
+TEST(DomainTable, SetRowRelocatesLongerCnameAndKeepsOtherRows) {
+  core::DomainTable table;
+  std::vector<core::DomainRecord> expected;
+  for (std::uint64_t rank = 1; rank <= 30; ++rank) {
+    expected.push_back(make_ragged_record(rank));
+    table.append(expected.back());
+  }
+  const auto set = [&](std::size_t row, const core::DomainRecord& record) {
+    table.set_row(row, record.excluded_dns, record.dnssec_signed, record.www,
+                  record.apex);
+    expected[row] = record;
+  };
+
+  // Longer CNAME (and an extra pair): both relocate to the end of the pools.
+  const std::size_t chars_before = table.char_count();
+  auto longer = expected[10];
+  longer.www.terminal_cname += ".much.longer.relocated.example";
+  longer.apex.terminal_cname = "now-a-cname.example";
+  longer.www.pairs.push_back(core::PrefixAsPair{
+      P("203.0.113.0/24"), net::Asn(64510), rpki::OriginValidity::kValid});
+  set(10, longer);
+  EXPECT_EQ(table.char_count(), chars_before + longer.www.terminal_cname.size() +
+                                    longer.apex.terminal_cname.size());
+
+  // Shorter or empty CNAMEs reuse their slots: the pool does not grow.
+  const std::size_t chars_after = table.char_count();
+  auto shorter = expected[8];
+  shorter.www.terminal_cname = "s.example";
+  shorter.apex.terminal_cname.clear();
+  set(8, shorter);
+  auto shrunk = expected[10];
+  shrunk.www.terminal_cname = "x";
+  set(10, shrunk);
+  EXPECT_EQ(table.char_count(), chars_after);
+
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(table.name(i), expected[i].name) << i;
+    EXPECT_TRUE(table[i] == expected[i]) << i;
+  }
+}
+
+TEST(DomainTable, CopyAndAssignmentAreEqualAndIndependent) {
+  core::DomainTable table;
+  for (std::uint64_t rank = 1; rank <= 20; ++rank) {
+    table.append(make_ragged_record(rank));
+  }
+  auto relocated = make_ragged_record(5);
+  relocated.www.terminal_cname = std::string(80, 'z') + ".example";
+  table.set_row(4, relocated.excluded_dns, relocated.dnssec_signed,
+                relocated.www, relocated.apex);  // leaves a gap in the pool
+
+  const core::DomainTable copy(table);
+  EXPECT_TRUE(copy == table);
+  EXPECT_EQ(copy.char_count(), table.char_count());
+
+  core::DomainTable assigned;
+  assigned.append(make_ragged_record(99));  // overwritten, not appended to
+  assigned = table;
+  EXPECT_TRUE(assigned == table);
+  ASSERT_EQ(assigned.size(), table.size());
+  EXPECT_EQ(assigned[4].www.terminal_cname, relocated.www.terminal_cname);
+
+  const core::DomainTable& self = assigned;
+  assigned = self;
+  EXPECT_TRUE(assigned == table);
+
+  // The copies own their pools: rewriting the source leaves them intact.
+  auto changed = make_ragged_record(1);
+  changed.www.terminal_cname = std::string(120, 'q');
+  table.set_row(0, changed.excluded_dns, changed.dnssec_signed, changed.www,
+                changed.apex);
+  EXPECT_FALSE(copy == table);
+  EXPECT_TRUE(copy == assigned);
+  EXPECT_EQ(copy[0].www.terminal_cname, make_ragged_record(1).www.terminal_cname);
+}
+
+// --- NameIndex ----------------------------------------------------------------
+
+/// Every name hashes alike: all entries share one probe run.
+struct CollidingHash {
+  std::size_t operator()(std::string_view) const { return 0x5eed00000007u; }
+};
+
+TEST(NameIndex, EmptyIndexFindsNothing) {
+  const auto none = [](std::uint32_t) -> std::string_view {
+    ADD_FAILURE() << "an empty index must not read names";
+    return {};
+  };
+  const util::NameIndex index;
+  EXPECT_EQ(index.find("anything.example", none), util::NameIndex::kAbsent);
+  EXPECT_EQ(index.find("", none), util::NameIndex::kAbsent);
+  const util::NameIndex built(0, none);
+  EXPECT_EQ(built.slot_count(), 0u);
+  EXPECT_EQ(built.find("anything.example", none), util::NameIndex::kAbsent);
+}
+
+TEST(NameIndex, FindsEveryRowAndNoAbsentName) {
+  std::vector<std::string> names;
+  for (int i = 0; i < 5'000; ++i) {
+    names.push_back("domain-" + std::to_string(i) + ".example");
+  }
+  const auto name_of = [&](std::uint32_t row) -> std::string_view {
+    return names[row];
+  };
+  const util::NameIndex index(names.size(), name_of);
+  EXPECT_GE(index.slot_count(), 2 * names.size());
+  EXPECT_EQ(index.slot_count() & (index.slot_count() - 1), 0u);
+  for (std::uint32_t row = 0; row < names.size(); ++row) {
+    ASSERT_EQ(index.find(names[row], name_of), row);
+  }
+  for (const char* absent : {"", "domain-5000.example", "domain-1.exampl",
+                             "domain-1.example.", "DOMAIN-1.example",
+                             "omain-1.example"}) {
+    EXPECT_EQ(index.find(absent, name_of), util::NameIndex::kAbsent) << absent;
+  }
+}
+
+TEST(NameIndex, ForcedCollisionsStillResolve) {
+  std::vector<std::string> names;
+  for (int i = 0; i < 300; ++i) names.push_back("c" + std::to_string(i));
+  const auto name_of = [&](std::uint32_t row) -> std::string_view {
+    return names[row];
+  };
+  const util::BasicNameIndex<CollidingHash> index(names.size(), name_of);
+  for (std::uint32_t row = 0; row < names.size(); ++row) {
+    ASSERT_EQ(index.find(names[row], name_of), row);
+  }
+  EXPECT_EQ(index.find("c300", name_of), util::NameIndex::kAbsent);
+  EXPECT_EQ(index.find("", name_of), util::NameIndex::kAbsent);
+}
+
+TEST(NameIndex, FirstRowWinsOnDuplicates) {
+  const std::vector<std::string> names = {"b", "dup", "a", "dup", "b", "dup"};
+  const auto name_of = [&](std::uint32_t row) -> std::string_view {
+    return names[row];
+  };
+  const util::NameIndex index(names.size(), name_of);
+  EXPECT_EQ(index.find("b", name_of), 0u);
+  EXPECT_EQ(index.find("dup", name_of), 1u);
+  EXPECT_EQ(index.find("a", name_of), 2u);
+  const util::BasicNameIndex<CollidingHash> colliding(names.size(), name_of);
+  EXPECT_EQ(colliding.find("b", name_of), 0u);
+  EXPECT_EQ(colliding.find("dup", name_of), 1u);
+  EXPECT_EQ(colliding.find("a", name_of), 2u);
 }
 
 // --- frozen trie -------------------------------------------------------------

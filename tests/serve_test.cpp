@@ -30,6 +30,7 @@
 #include "serve/service.hpp"
 #include "serve/snapshot.hpp"
 #include "web/ecosystem.hpp"
+#include "web/names.hpp"
 
 namespace ripki::serve {
 namespace {
@@ -687,6 +688,88 @@ TEST(ServeFleet, ZeroCopySharedBodyWritesSameBytes) {
 }
 
 // --- query service against a real pipeline run -------------------------------
+
+// --- Snapshot name index ----------------------------------------------------
+
+core::DomainRecord indexed_record(std::uint32_t rank, std::size_t cname_length) {
+  core::DomainRecord record;
+  record.rank = rank;
+  record.name = web::domain_name_for_rank(/*seed=*/7, rank);
+  record.www.resolved = true;
+  record.www.address_count = 1;
+  record.www.cname_hops = cname_length == 0 ? 0 : 2;
+  record.www.terminal_cname.assign(cname_length, 'c');
+  record.www.pairs.push_back(core::PrefixAsPair{
+      net::Prefix::parse("192.0.2.0/24").value(), net::Asn(64500 + rank % 7),
+      rpki::OriginValidity::kValid});
+  return record;
+}
+
+/// Every row must be found at its own index with its own bytes; names
+/// that are absent (near misses of present ones included) must not be.
+void expect_every_row_found(const Snapshot& snapshot, const core::Dataset& dataset) {
+  for (std::size_t row = 0; row < dataset.domains.size(); ++row) {
+    const auto view = dataset.domains[row];
+    const auto found = snapshot.find_domain(view.name);
+    ASSERT_TRUE(found.has_value()) << view.name;
+    EXPECT_EQ(found->rank, view.rank) << view.name;
+    EXPECT_EQ(found->name, view.name);
+    ASSERT_EQ(Snapshot::render_domain_json(*found, snapshot.generation()),
+              Snapshot::render_domain_json(view, snapshot.generation()))
+        << view.name;
+  }
+  const std::string first(dataset.domains.name(0));
+  for (const std::string& absent :
+       {std::string(), std::string("absent.example"), first + ".",
+        first.substr(0, first.size() - 1), "www." + first,
+        web::domain_name_for_rank(7, 999'999)}) {
+    EXPECT_FALSE(snapshot.find_domain(absent).has_value()) << absent;
+  }
+}
+
+TEST(SnapshotIndex, FindDomainReturnsEveryRowBeforeAndAfterDelta) {
+  core::Dataset dataset;
+  dataset.rank_space = 1'000'000;
+  for (std::uint32_t rank = 1; rank <= 4'000; ++rank) {
+    dataset.domains.append(indexed_record(rank * 211, rank % 13));
+  }
+  const bgp::Rib rib;
+  const rpki::VrpSet vrps;
+  const auto base = Snapshot::build(dataset, rib, vrps, /*generation=*/1);
+  ASSERT_EQ(base->domain_count(), 4'000u);
+  expect_every_row_found(*base, dataset);
+
+  // Re-sweep every 9th row with a longer CNAME: the master table relocates
+  // those cells, the delta snapshot serves them from its overlay, and the
+  // shared index must still map every name to its row.
+  std::vector<std::uint32_t> changed;
+  for (std::uint32_t row = 0; row < 4'000; row += 9) {
+    const auto record = indexed_record(dataset.domains.rank(row), 40 + row % 5);
+    dataset.domains.set_row(row, record.excluded_dns, record.dnssec_signed,
+                            record.www, record.apex);
+    changed.push_back(row);
+  }
+  const auto delta =
+      Snapshot::apply_delta(base, dataset, changed, nullptr, nullptr, 2);
+  ASSERT_EQ(delta->overlay_size(), changed.size());
+  expect_every_row_found(*delta, dataset);
+  const auto rebuilt = Snapshot::build(dataset, rib, vrps, 2, 1);
+  expect_every_row_found(*rebuilt, dataset);
+}
+
+TEST(SnapshotIndex, DuplicateNameResolvesToFirstRow) {
+  core::Dataset dataset;
+  dataset.domains.append(indexed_record(10, 0));
+  auto twin = indexed_record(10, 3);
+  twin.rank = 20;
+  dataset.domains.append(indexed_record(30, 0));
+  dataset.domains.append(twin);
+  const auto snapshot =
+      Snapshot::build(dataset, bgp::Rib(), rpki::VrpSet(), /*generation=*/1);
+  const auto found = snapshot->find_domain(twin.name);
+  ASSERT_TRUE(found.has_value());
+  EXPECT_EQ(found->rank, 10u);
+}
 
 web::EcosystemConfig small_config() {
   web::EcosystemConfig config;
